@@ -145,8 +145,7 @@ bool GpuTop::finished() const {
   return true;
 }
 
-void GpuTop::handle_request_packet(Partition& p, unsigned idx, const icnt::Packet& pkt,
-                                   bool& stalled) {
+void GpuTop::handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& stalled) {
   stalled = false;
 
   if (pkt.kind == AccessKind::kWrite) {
@@ -202,7 +201,6 @@ void GpuTop::handle_request_packet(Partition& p, unsigned idx, const icnt::Packe
     lifecycle_->on_request_created(req.id, pkt.line_addr, pkt.inject_cycle,
                                    pkt.eject_cycle, core_cycle_);
   p.mc->enqueue(req, mem_now_);
-  (void)idx;
 }
 
 void GpuTop::partition_tick(Partition& p, unsigned idx, bool mem_ticked) {
@@ -233,7 +231,7 @@ void GpuTop::partition_tick(Partition& p, unsigned idx, bool mem_ticked) {
       pkt.eject_cycle = core_cycle_;  // Lifecycle stamp: crossbar exit.
     }
     bool stalled = false;
-    handle_request_packet(p, idx, pkt, stalled);
+    handle_request_packet(p, pkt, stalled);
     if (stalled) {
       if (!from_backlog) p.input_backlog.push_back(pkt);
       break;

@@ -168,8 +168,7 @@ class GpuTop {
   };
 
   void partition_tick(Partition& p, unsigned idx, bool mem_ticked);
-  void handle_request_packet(Partition& p, unsigned idx, const icnt::Packet& pkt,
-                             bool& stalled);
+  void handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& stalled);
 
   // --- Event-wheel / sharded driver (see run()) ---
 

@@ -200,9 +200,17 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
   // known wake event are removed (swap-remove keeps the scan O(active)).
   for (std::size_t j = 0; j < active_.size();) {
     const unsigned warp_idx = active_[j];
+    const Warp& w = warps_[warp_idx];
+    // Once the LSU path is blocked this cycle, a warp mid memory op (decoded,
+    // not busy, not done) can only poll: try_issue would return kPollBlocked
+    // and change no state.
+    if (mem_blocked && w.has_op && w.op.kind != WarpOp::Kind::kCompute && !w.done &&
+        w.busy_until <= now) {
+      ++j;
+      continue;
+    }
     const IssueResult result = try_issue(warp_idx, now, req_xbar, mem_blocked);
     if (result == IssueResult::kIssued) {
-      const Warp& w = warps_[warp_idx];
       if (w.has_op && w.op.kind != WarpOp::Kind::kCompute) {
         lsu_owner_ = static_cast<int>(warp_idx);  // Mid-op: hold the LSU.
       } else {

@@ -11,7 +11,10 @@
 // cycle. A warp leaves the active list when it blocks for a reason with a
 // known wake event (compute occupancy -> timer; outstanding loads -> reply/
 // completion) and re-enters on that event. Warps blocked on SM-global
-// resources (crossbar slot, MSHR table) stay active and poll.
+// resources (crossbar slot, MSHR table) stay active. Once one of them finds
+// the LSU path blocked in a cycle, the rest of that cycle's scan passes over
+// warps mid memory op without calling try_issue, since a retry could only
+// fail again and changes no state.
 #pragma once
 
 #include <algorithm>

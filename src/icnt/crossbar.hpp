@@ -5,10 +5,14 @@
 // input-queued switch), one packet accepted per destination per core cycle
 // with round-robin arbitration across sources, and a fixed traversal latency.
 // The same class serves both directions (SM->MC requests, MC->SM replies).
+//
+// Implementation: every queue is a fixed ring preallocated at its capacity,
+// and each destination keeps a bitmask of the sources whose head-of-line
+// packet targets it, so a tick costs O(destinations) word operations rather
+// than a destinations x sources scan.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -50,16 +54,18 @@ class Crossbar {
   /// Injects a packet from `src` toward `dst`. Precondition: can_push(src).
   void push(unsigned src, unsigned dst, const Packet& packet);
 
-  /// Advances one core cycle: each destination accepts at most one
-  /// head-of-line packet (round-robin over sources); accepted packets become
-  /// poppable `latency` cycles later.
+  /// Advances one core cycle: each destination, in index order, accepts at
+  /// most one head-of-line packet (round-robin over sources); accepted
+  /// packets become poppable `latency` cycles later. A grant exposes the
+  /// source's next packet at once, so it can still be granted this cycle by
+  /// a later destination.
   void tick(Cycle now);
 
   /// Next packet that has arrived at `dst` by `now`, if any.
   std::optional<Packet> pop(unsigned dst, Cycle now);
 
   /// True when no packet is anywhere in the switch.
-  bool idle() const;
+  bool idle() const { return queued_ == 0 && buffered_ == 0; }
 
   std::uint64_t delivered() const { return delivered_; }
 
@@ -72,18 +78,39 @@ class Crossbar {
     Packet packet;
     unsigned dst = 0;
   };
+  /// Head index and occupancy of one fixed ring.
+  struct Ring {
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+  };
+
+  /// Source whose head packet `dst` grants next: the first set bit of its
+  /// mask at or after rr_[dst], wrapping. -1 if no head targets `dst`.
+  int next_grant(unsigned dst) const;
+  void set_head_bit(unsigned src);
+  /// Slot `i` (taken modulo the ring size, for i < 2x capacity) of a ring.
+  InputEntry& input_slot(unsigned src, std::uint32_t i);
+  InFlight& output_slot(unsigned dst, std::uint32_t i);
+  std::uint64_t* mask(unsigned dst) { return &masks_[std::size_t{dst} * words_]; }
 
   unsigned num_src_;
   unsigned num_dst_;
   unsigned latency_;
-  std::size_t capacity_;
-  std::size_t out_capacity_;
+  std::uint32_t capacity_;
+  std::uint32_t out_capacity_;
+  unsigned words_;  ///< 64-bit words per destination mask.
 
-  std::vector<std::deque<InputEntry>> inputs_;   ///< Per source.
-  std::vector<std::deque<InFlight>> outputs_;    ///< Per destination.
-  std::vector<unsigned> rr_;                     ///< Per destination arbiter state.
+  std::vector<InputEntry> input_slots_;  ///< num_src_ rings of capacity_.
+  std::vector<Ring> inputs_;             ///< Per source.
+  std::vector<InFlight> output_slots_;   ///< num_dst_ rings of out_capacity_.
+  std::vector<Ring> outputs_;            ///< Per destination.
+  /// Per destination, words_ words: bit `src` is set iff source `src`'s
+  /// head-of-line packet targets that destination.
+  std::vector<std::uint64_t> masks_;
+  std::vector<unsigned> rr_;  ///< Per destination arbiter state.
   std::uint64_t delivered_ = 0;
-  std::uint64_t queued_ = 0;  ///< Packets waiting in input queues (fast-exit).
+  std::uint64_t queued_ = 0;    ///< Packets waiting in input queues.
+  std::uint64_t buffered_ = 0;  ///< Packets granted but not yet popped.
 };
 
 }  // namespace lazydram::icnt

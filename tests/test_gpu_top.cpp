@@ -189,6 +189,36 @@ TEST(GpuTop, MetricsIdentities) {
   EXPECT_LE(m.bwutil, 1.0);
 }
 
+TEST(GpuTop, PinnedIssueAndStallCountsOnMini) {
+  // Values measured before the SM issue scan learned to pass over warps that
+  // can only poll. Nothing else reads l1_miss_stalls(), so this is the
+  // witness that skipping those try_issue calls leaves stall accounting,
+  // issue order and timing unchanged.
+  struct Pin {
+    core::SchemeKind kind;
+    std::uint64_t l1_miss_stalls;
+    std::uint64_t instructions;
+    Cycle core_cycles;
+  };
+  const Pin pins[] = {
+      {core::SchemeKind::kBaseline, 295071, 11520, 44032},
+      {core::SchemeKind::kDynCombo, 98866, 11520, 39936},
+  };
+  MiniWorkload wl;
+  GpuConfig cfg;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(core::scheme_name(pin.kind));
+    const core::SchemeSpec spec = core::make_scheme_spec(pin.kind, cfg.scheme);
+    gpu::GpuTop top(cfg, wl, lazy_factory(cfg, spec));
+    ASSERT_TRUE(top.run(20'000'000));
+    std::uint64_t stalls = 0;
+    for (SmId s = 0; s < top.num_sms(); ++s) stalls += top.sm(s).l1_miss_stalls();
+    EXPECT_EQ(stalls, pin.l1_miss_stalls);
+    EXPECT_EQ(top.instructions(), pin.instructions);
+    EXPECT_EQ(top.core_cycles(), pin.core_cycles);
+  }
+}
+
 TEST(Simulator, EndToEndSchemeOrderingOnScp) {
   // The paper's headline ordering on one real app: combo <= AMS < baseline
   // activations, and AMS must not hurt IPC.
