@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -618,6 +619,19 @@ int run_perf(const std::string& out_path, Cycle cycles_per_scheme,
   return 0;
 }
 
+/// Whole-string unsigned integer in [lo, hi]; false on anything else
+/// (strtoull alone takes "8x" as 8, "x" as 0 and wraps "-3").
+bool parse_count(const char* text, unsigned long long lo, unsigned long long hi,
+                 unsigned long long& out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno != 0 || v < lo || v > hi) return false;
+  out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -632,7 +646,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--perf-out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--perf-cycles") == 0 && i + 1 < argc) {
-      cycles_per_scheme = static_cast<Cycle>(std::strtoull(argv[++i], nullptr, 10));
+      unsigned long long v = 0;
+      if (!parse_count(argv[++i], 1, kNeverCycle - 1, v)) {
+        std::fprintf(stderr, "bench_micro: --perf-cycles wants a positive integer, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
+      cycles_per_scheme = static_cast<Cycle>(v);
     } else if (std::strcmp(argv[i], "--perf-trace") == 0 && i + 1 < argc) {
       // Existing directory to drop one chrome trace per scheme into; turns
       // the harness into the tracing-on overhead measurement.
@@ -640,7 +660,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
       // Worker lanes for the sharded-driver lane and the end-to-end run
       // (GpuConfig::shard_threads); 0 keeps both on the legacy loop.
-      shard = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      unsigned long long v = 0;
+      if (!parse_count(argv[++i], 0, 64, v)) {
+        std::fprintf(stderr, "bench_micro: --shard wants an integer 0..64, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
+      shard = static_cast<unsigned>(v);
     }
   }
   if (perf) return run_perf(out_path, cycles_per_scheme, trace_dir, shard);

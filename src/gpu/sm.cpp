@@ -35,7 +35,9 @@ void Sm::activate(unsigned warp_idx) {
 
 void Sm::on_reply(const icnt::Packet& packet) {
   // Fill the L1 (never dirty: L1 is write-through) and wake every warp that
-  // merged into this line's MSHR entry.
+  // merged into this line's MSHR entry. The epoch moves, which ends any
+  // park: a woken warp may issue.
+  ++mem_epoch_;
   l1_.fill(packet.line_addr, /*dirty=*/false, packet.approximate);
   for (const cache::MshrToken token : mshr_.release(packet.line_addr)) {
     const unsigned warp_idx = static_cast<unsigned>(token);
@@ -51,13 +53,19 @@ Sm::IssueResult Sm::issue_memory_line(unsigned warp_idx, Cycle now,
   Warp& w = warps_[warp_idx];
   const Addr line = w.lines[w.lines_issued];
 
+  // Memoised verdict: the line last found no crossbar slot, and nothing that
+  // could turn its L1 miss into a hit or change its MSHR verdict has happened
+  // since, so only the slot can have changed.
+  const bool xbar_full = !req_xbar.can_push(id_);
+  if (xbar_full && w.xbar_wait_epoch == mem_epoch_) {
+    mem_blocked = true;
+    return IssueResult::kPollBlocked;
+  }
+
   if (w.op.kind == WarpOp::Kind::kStore) {
     // Write-through, no-allocate: update the L1 copy if present, then send
     // the write toward the L2 slice. Fire-and-forget (no scoreboard entry).
-    if (!req_xbar.can_push(id_)) {
-      mem_blocked = true;
-      return IssueResult::kPollBlocked;
-    }
+    if (xbar_full) return wait_for_xbar(w, mem_blocked);
     l1_.access(line, /*is_write=*/true);
     icnt::Packet pkt;
     pkt.id = ++next_packet_id_;
@@ -83,10 +91,7 @@ Sm::IssueResult Sm::issue_memory_line(unsigned warp_idx, Cycle now,
     if (!is_merge) mem_blocked = true;  // Table full: SM-global condition.
     return IssueResult::kPollBlocked;
   }
-  if (!is_merge && !req_xbar.can_push(id_)) {
-    mem_blocked = true;
-    return IssueResult::kPollBlocked;
-  }
+  if (!is_merge && xbar_full) return wait_for_xbar(w, mem_blocked);
 
   const bool primary = mshr_.allocate(line, warp_idx);
   LD_ASSERT(primary == !is_merge);
@@ -104,6 +109,12 @@ Sm::IssueResult Sm::issue_memory_line(unsigned warp_idx, Cycle now,
     req_xbar.push(id_, mapper_.channel_of(line), pkt);
   }
   return IssueResult::kIssued;
+}
+
+Sm::IssueResult Sm::wait_for_xbar(Warp& w, bool& mem_blocked) {
+  w.xbar_wait_epoch = mem_epoch_;
+  mem_blocked = true;
+  return IssueResult::kPollBlocked;
 }
 
 Sm::IssueResult Sm::try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_xbar,
@@ -153,8 +164,10 @@ Sm::IssueResult Sm::try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_
   const IssueResult result = issue_memory_line(warp_idx, now, req_xbar, mem_blocked);
   if (result != IssueResult::kIssued) {
     ++stall_cycles_;
+    stall_warp_ = warp_idx;
     return result;
   }
+  ++mem_epoch_;  // An MSHR allocation, L1 hit or store update: verdicts may change.
   ++w.lines_issued;
   if (w.lines_issued == w.lines.size()) {
     ++w.instructions;
@@ -167,6 +180,16 @@ Sm::IssueResult Sm::try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_
 }
 
 void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
+  // Parked: the last tick's only work was one memoised crossbar stall, and
+  // none of its wake sources (a free slot, a reply, a due completion or
+  // timer) has fired, so this tick would repeat it exactly.
+  if (now < park_until_ && warps_[stall_warp_].xbar_wait_epoch == mem_epoch_ &&
+      !req_xbar.can_push(id_)) {
+    ++stall_cycles_;
+    return;
+  }
+  park_until_ = 0;
+
   // Retire L1 hits whose latency has elapsed.
   while (!completions_.empty() && completions_.front().first <= now) {
     const unsigned warp_idx = completions_.front().second;
@@ -184,6 +207,7 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
   }
 
   bool mem_blocked = false;
+  const std::uint64_t stalls_before = stall_cycles_;
 
   // A multi-line memory instruction owns the load/store unit until all its
   // transactions have issued (as in real hardware): if a warp is mid-op, it
@@ -192,7 +216,11 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
   if (lsu_owner_ >= 0) {
     const unsigned owner = static_cast<unsigned>(lsu_owner_);
     const IssueResult result = try_issue(owner, now, req_xbar, mem_blocked);
-    if (result == IssueResult::kIssued && !warps_[owner].has_op) lsu_owner_ = -1;
+    if (result == IssueResult::kIssued) {
+      if (!warps_[owner].has_op) lsu_owner_ = -1;
+    } else {
+      park_if_repeating(now, stalls_before);
+    }
     return;  // The LSU owner consumes the issue slot until its op completes.
   }
 
@@ -228,6 +256,23 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
     }
     ++j;  // kPollBlocked: stays active.
   }
+  park_if_repeating(now, stalls_before);
+}
+
+void Sm::park_if_repeating(Cycle now, std::uint64_t stalls_before) {
+  // Nothing issued. With exactly one stall, charged to a warp whose crossbar
+  // memo is valid, that warp blocked the LSU first and every other warp still
+  // active is now mid memory op, so the next tick would repeat this one (one
+  // memoised stall, the rest passed over) until a wake source fires.
+  // Completions and timers gain entries only in a tick that issues or scans,
+  // so their heads bound the park.
+  if (stall_cycles_ != stalls_before + 1 || warps_[stall_warp_].xbar_wait_epoch != mem_epoch_)
+    return;
+  Cycle wake = kNeverCycle;
+  if (!completions_.empty()) wake = completions_.front().first;
+  if (!timers_.empty()) wake = std::min(wake, timers_.top().first);
+  LD_ASSERT(wake > now);
+  park_until_ = wake;
 }
 
 }  // namespace lazydram::gpu

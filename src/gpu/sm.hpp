@@ -15,6 +15,13 @@
 // the LSU path blocked in a cycle, the rest of that cycle's scan passes over
 // warps mid memory op without calling try_issue, since a retry could only
 // fail again and changes no state.
+//
+// Waits on the request crossbar are keyed on events. mem_epoch_ moves on
+// every reply and every issued memory line; a head line that found no
+// crossbar slot keeps its verdict until the epoch moves, so its re-polls
+// skip the L1 and MSHR probes. A tick whose only work was one such stall
+// parks the SM: later ticks just count the stall until a slot frees, a
+// reply arrives, or an L1-hit completion or compute timer falls due.
 #pragma once
 
 #include <algorithm>
@@ -60,11 +67,13 @@ class Sm {
   /// First future cycle at which tick() could change any state, assuming no
   /// reply arrives in between (replies are external events the caller
   /// accounts for separately). While any warp is active — or a multi-line
-  /// memory op owns the LSU — the SM polls every cycle. Otherwise the only
+  /// memory op owns the LSU — the SM ticks every cycle; that includes a
+  /// parked SM, whose ticks still count stalls. Otherwise the only
   /// self-wakes are the head L1-hit completion (FIFO: constant latency keeps
   /// it sorted) and the earliest compute timer. Skipping the gap is bit-exact
-  /// because an idle tick() touches nothing: stall_cycles_ only advances
-  /// inside try_issue, which an empty active list never reaches.
+  /// because an idle tick() touches nothing: stall_cycles_ only advances on
+  /// a stalled memory line or a parked tick, and both need a warp that is
+  /// active or owns the LSU.
   Cycle next_event(Cycle now) const {
     if (lsu_owner_ >= 0 || !active_.empty()) return now + 1;
     Cycle ev = kNeverCycle;
@@ -76,7 +85,6 @@ class Sm {
   SmId id() const { return id_; }
   std::uint64_t instructions() const { return instructions_; }
   std::uint64_t l1_miss_stalls() const { return stall_cycles_; }
-  const cache::Cache& l1() const { return l1_; }
 
   // --- Per-tenant accounting (sized from workload.num_tenants()) ---
   std::uint64_t tenant_instructions(TenantId t) const { return tenant_instructions_[t]; }
@@ -95,6 +103,11 @@ class Sm {
                         bool& mem_blocked);
   IssueResult issue_memory_line(unsigned warp_idx, Cycle now, icnt::Crossbar& req_xbar,
                                 bool& mem_blocked);
+  /// The head line of `w` found no crossbar slot: memoise that at the
+  /// current epoch.
+  IssueResult wait_for_xbar(Warp& w, bool& mem_blocked);
+  /// End of a tick that issued nothing: park if the next tick would repeat it.
+  void park_if_repeating(Cycle now, std::uint64_t stalls_before);
 
   void activate(unsigned warp_idx);
 
@@ -121,6 +134,17 @@ class Sm {
   /// Warp index currently owning the load/store unit mid-instruction
   /// (issues its remaining transactions with strict priority); -1 if none.
   int lsu_owner_ = -1;
+
+  /// Bumped by every on_reply (L1 fill, MSHR release) and every issued
+  /// memory line (MSHR allocation, L1 hit, store update): the only events
+  /// that can change a head line's L1/MSHR verdict. Starts at 1 so a
+  /// Warp::xbar_wait_epoch of 0 never matches.
+  std::uint64_t mem_epoch_ = 1;
+  /// While now < park_until_, the stalled warp's crossbar memo holds (no
+  /// reply or issue since) and the crossbar input stays full, tick() only
+  /// counts a stall. 0 = not parked.
+  Cycle park_until_ = 0;
+  unsigned stall_warp_ = 0;  ///< Warp charged with the latest stall.
 
   std::uint64_t instructions_ = 0;
   std::uint64_t stall_cycles_ = 0;

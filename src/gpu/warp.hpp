@@ -68,6 +68,10 @@ struct Warp {
   WarpOp op;
   std::vector<Addr> lines;     ///< Coalesced lines of the current memory op.
   unsigned lines_issued = 0;
+  /// The SM's mem_epoch when the head line (lines[lines_issued]) last found
+  /// the request-crossbar input full; 0 = none. While it equals the SM's
+  /// current epoch, the line's L1/MSHR verdict cannot have changed.
+  std::uint64_t xbar_wait_epoch = 0;
 
   std::uint64_t instructions = 0;
 };

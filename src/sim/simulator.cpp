@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 
@@ -20,6 +22,23 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
+
+std::uint64_t trace_sample_from_env() {
+  const std::string text = telemetry::env_string("LAZYDRAM_TRACE_SAMPLE");
+  if (text.empty()) return 1;
+  // Accept "N" or the documented "1/N" spelling. strtoull alone would take
+  // "8x" as 8 and wrap "-3", so the digits must be the whole string.
+  const std::string n = text.rfind("1/", 0) == 0 ? text.substr(2) : text;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(n.c_str(), &end, 10);
+  if (!n.empty() && std::isdigit(static_cast<unsigned char>(n[0])) && *end == '\0' &&
+      errno == 0 && v > 0)
+    return v;
+  log_warn("LAZYDRAM_TRACE_SAMPLE='%s' not recognized (want N or 1/N, N > 0); using 1",
+           text.c_str());
+  return 1;
+}
 
 RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& config) {
   log_level();  // Resolve LAZYDRAM_LOG up front so a typo in it warns even
@@ -136,16 +155,7 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
   if (trace_format.empty()) trace_format = telemetry::env_string("LAZYDRAM_TRACE_FORMAT");
   if (trace_format.empty()) trace_format = "jsonl";
   std::uint64_t trace_sample = config.trace_sample;
-  if (trace_sample == 0) {
-    // Accept "N" or the documented "1/N" spelling.
-    std::string s = telemetry::env_string("LAZYDRAM_TRACE_SAMPLE");
-    if (s.rfind("1/", 0) == 0) s = s.substr(2);
-    trace_sample = s.empty() ? 1 : std::strtoull(s.c_str(), nullptr, 10);
-    if (trace_sample == 0) {
-      log_warn("LAZYDRAM_TRACE_SAMPLE='%s' not a positive integer; using 1", s.c_str());
-      trace_sample = 1;
-    }
-  }
+  if (trace_sample == 0) trace_sample = trace_sample_from_env();
 
   telemetry::Telemetry tele;
   if (!trace_path.empty()) {

@@ -79,6 +79,10 @@ struct RunOutput {
 };
 RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& config);
 
+/// Lifecycle sampling rate from $LAZYDRAM_TRACE_SAMPLE, spelled "N" or
+/// "1/N" with N > 0. Unset gives 1; anything else warns and gives 1.
+std::uint64_t trace_sample_from_env();
+
 /// Convenience: run one of the seven paper schemes with default config.
 RunMetrics simulate_scheme(const workloads::Workload& workload, core::SchemeKind kind,
                            const GpuConfig& gpu = GpuConfig{});

@@ -190,29 +190,52 @@ TEST(GpuTop, MetricsIdentities) {
 }
 
 TEST(GpuTop, PinnedIssueAndStallCountsOnMini) {
-  // Values measured before the SM issue scan learned to pass over warps that
-  // can only poll. Nothing else reads l1_miss_stalls(), so this is the
-  // witness that skipping those try_issue calls leaves stall accounting,
-  // issue order and timing unchanged.
+  // Values measured before the SM issue path memoised crossbar waits and
+  // parked stalled SMs. Nothing else reads l1_miss_stalls(), so these are the
+  // witness that skipped polls and parked ticks leave stall accounting, issue
+  // order and timing unchanged on every SM. The default 64-entry MSHRs stall
+  // only on crossbar slots (loads and stores); 12 entries add MSHR-full
+  // waits, which are never memoised or parked.
   struct Pin {
+    std::uint32_t mshr_entries;
     core::SchemeKind kind;
-    std::uint64_t l1_miss_stalls;
+    std::vector<std::uint64_t> l1_miss_stalls;  ///< Per SM.
     std::uint64_t instructions;
     Cycle core_cycles;
   };
   const Pin pins[] = {
-      {core::SchemeKind::kBaseline, 295071, 11520, 44032},
-      {core::SchemeKind::kDynCombo, 98866, 11520, 39936},
+      {64, core::SchemeKind::kBaseline,
+       {15038, 6909,  3461,  13690, 3286,  6189,  17087, 19508, 8212,  11037,
+        1499,  4703,  3836,  4366,  8367,  16675, 5741,  13660, 17698, 4712,
+        12524, 14455, 10544, 12364, 11314, 3841,  14207, 5825,  14095, 10228},
+       11520, 44032},
+      {64, core::SchemeKind::kDynCombo,
+       {6663, 1962, 3583, 4160, 1089, 1404, 4851, 7380, 1899, 4712,
+        419,  737,  2745, 2654, 602,  3137, 4170, 2847, 6609, 699,
+        3724, 1513, 3225, 6304, 3167, 1045, 4330, 749,  7258, 5229},
+       11520, 39936},
+      {12, core::SchemeKind::kBaseline,
+       {10308, 26981, 20303, 16714, 19323, 6625,  16799, 25411, 18345, 11101,
+        17835, 17579, 17662, 22009, 13528, 12415, 24444, 23120, 20437, 22013,
+        18921, 17806, 16045, 18150, 23235, 21876, 21234, 17809, 19558, 17681},
+       11520, 43008},
+      {12, core::SchemeKind::kDynCombo,
+       {23489, 37782, 26451, 24395, 32250, 19847, 25488, 31781, 33642, 18986,
+        32029, 28862, 26647, 29121, 27776, 29801, 29218, 28801, 19338, 35455,
+        20659, 23183, 23772, 15020, 31132, 40221, 31843, 24078, 19118, 16225},
+       11520, 45056},
   };
   MiniWorkload wl;
-  GpuConfig cfg;
   for (const Pin& pin : pins) {
-    SCOPED_TRACE(core::scheme_name(pin.kind));
+    SCOPED_TRACE(std::string(core::scheme_name(pin.kind)) + " mshr=" +
+                 std::to_string(pin.mshr_entries));
+    GpuConfig cfg;
+    cfg.l1.mshr_entries = pin.mshr_entries;
     const core::SchemeSpec spec = core::make_scheme_spec(pin.kind, cfg.scheme);
     gpu::GpuTop top(cfg, wl, lazy_factory(cfg, spec));
     ASSERT_TRUE(top.run(20'000'000));
-    std::uint64_t stalls = 0;
-    for (SmId s = 0; s < top.num_sms(); ++s) stalls += top.sm(s).l1_miss_stalls();
+    std::vector<std::uint64_t> stalls;
+    for (SmId s = 0; s < top.num_sms(); ++s) stalls.push_back(top.sm(s).l1_miss_stalls());
     EXPECT_EQ(stalls, pin.l1_miss_stalls);
     EXPECT_EQ(top.instructions(), pin.instructions);
     EXPECT_EQ(top.core_cycles(), pin.core_cycles);

@@ -2,6 +2,8 @@
 // runner's memoization and the report helpers.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "core/scheme.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
@@ -121,6 +123,25 @@ TEST(Simulator, FastPathOffMatchesFastPathOn) {
     EXPECT_DOUBLE_EQ(a.avg_th_rbl, b.avg_th_rbl);
     EXPECT_DOUBLE_EQ(a.bwutil, b.bwutil);
   }
+}
+
+TEST(Simulator, TraceSampleEnvAcceptsOnlyWholePositiveCounts) {
+  const auto sample = [](const char* text) {
+    ::setenv("LAZYDRAM_TRACE_SAMPLE", text, 1);
+    return sim::trace_sample_from_env();
+  };
+  EXPECT_EQ(sample("1/16"), 16u);
+  EXPECT_EQ(sample("16"), 16u);
+  // Malformed values warn and fall back to sampling every request.
+  EXPECT_EQ(sample("-3"), 1u);  // strtoull alone wraps this to 2^64 - 3.
+  EXPECT_EQ(sample("8x"), 1u);  // ... and reads this as 8.
+  EXPECT_EQ(sample("1/0"), 1u);
+  EXPECT_EQ(sample("0"), 1u);
+  EXPECT_EQ(sample("1/"), 1u);
+  EXPECT_EQ(sample(" 8"), 1u);
+  EXPECT_EQ(sample("99999999999999999999"), 1u);  // Out of range.
+  ::unsetenv("LAZYDRAM_TRACE_SAMPLE");
+  EXPECT_EQ(sim::trace_sample_from_env(), 1u);
 }
 
 }  // namespace
