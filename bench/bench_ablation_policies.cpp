@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   sim::RunConfig fcfs;
   fcfs.gpu = runner.config();
-  fcfs.policy = sim::PolicyKind::kFcfs;
+  fcfs.gpu.policy.name = "fcfs";
   fcfs.compute_error = false;
 
   sim::RunConfig closed;

@@ -151,14 +151,9 @@ struct SchemePerf {
 SchemePerf drive_controller(core::SchemeKind kind, Cycle total_cycles,
                             telemetry::Telemetry* tele = nullptr) {
   GpuConfig cfg;  // fig12 configuration: Table I defaults.
-  // Honor the same A/B knob as sim::simulate so `LAZYDRAM_FAST=off
-  // bench_micro --perf` measures the naive loop (see EXPERIMENTS.md).
-  if (const char* fast = std::getenv("LAZYDRAM_FAST"); fast != nullptr) {
-    if (std::string_view(fast) == "off" || std::string_view(fast) == "0")
-      cfg.fast_path = false;
-  }
-  // Same discipline for the power accountant: `LAZYDRAM_POWER=off
-  // bench_micro --perf` measures the accounting-free hot path.
+  // Honor the same A/B knob as sim::simulate for the power accountant:
+  // `LAZYDRAM_POWER=off bench_micro --perf` measures the accounting-free
+  // hot path.
   if (const char* power = std::getenv("LAZYDRAM_POWER"); power != nullptr) {
     if (std::string_view(power) == "off" || std::string_view(power) == "0")
       cfg.power_accounting = false;
@@ -273,7 +268,8 @@ std::vector<std::unique_ptr<MemoryController>> make_channels(
   return mcs;
 }
 
-/// Drives one channel over its stream cycle by cycle (the legacy loop body).
+/// Drives one channel over its stream cycle by cycle (the per-tick reference
+/// the wheel drives are timed and checked against).
 std::uint64_t drive_one_legacy(MemoryController& mc,
                                const std::vector<StreamEvent>& stream,
                                Cycle total_cycles) {
@@ -659,10 +655,10 @@ int main(int argc, char** argv) {
       trace_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
       // Worker lanes for the sharded-driver lane and the end-to-end run
-      // (GpuConfig::shard_threads); 0 keeps both on the legacy loop.
+      // (GpuConfig::shard_threads).
       unsigned long long v = 0;
-      if (!parse_count(argv[++i], 0, 64, v)) {
-        std::fprintf(stderr, "bench_micro: --shard wants an integer 0..64, got '%s'\n",
+      if (!parse_count(argv[++i], 1, 64, v)) {
+        std::fprintf(stderr, "bench_micro: --shard wants a lane count 1..64, got '%s'\n",
                      argv[i]);
         return 2;
       }

@@ -199,23 +199,16 @@ struct GpuConfig {
   /// SchedulerRegistry is the single construction path for all of them.
   PolicyParams policy{};
 
-  /// Enables the memory controller's schedulability fast paths (skip
-  /// decide() for banks with no pending work, restrict the AMS drop pass,
-  /// short-circuit fully idle cycles). Proven result-equivalent by the
-  /// tools/diffcheck matrix and the strict-mode checker; LAZYDRAM_FAST=off
-  /// (or =0) disables it for A/B comparison.
-  bool fast_path = true;
-
-  /// Sharded execution of GpuTop's run loop. 0 (default) keeps the legacy
-  /// cycle-by-cycle loop; 1 switches to the event-wheel driver (fast-forward
-  /// over quiet spans between deterministic synchronization points) on the
-  /// calling thread; N > 1 additionally partitions the memory controllers
-  /// into N worker lanes that advance independently inside each epoch, with
+  /// Worker lanes of GpuTop's event-wheel driver, 1..64 (capped at the
+  /// channel count). 1 (default) runs everything on the calling thread,
+  /// fast-forwarding over quiet spans between deterministic synchronization
+  /// points; N > 1 additionally partitions the memory controllers into N
+  /// lanes that advance independently inside each memory-only epoch, with
   /// telemetry buffered per lane and replayed in (cycle, channel) order at
   /// the barrier. Results and trace output are bit-identical for every
   /// value (proven by the Sharding.* lockstep tests and tools/diffcheck);
   /// LAZYDRAM_SHARD=N selects it for full-simulation runs.
-  unsigned shard_threads = 0;
+  unsigned shard_threads = 1;
 
   /// Enables the per-bank state-residency power accountant (src/dram/power).
   /// Strictly passive — results are bit-identical either way (proven by

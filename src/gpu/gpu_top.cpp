@@ -452,31 +452,22 @@ bool GpuTop::run(Cycle max_core_cycles) {
         run_start_wall_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                               std::chrono::duration<double>(cfg_.heartbeat_seconds));
   }
+  init_sharding();
   {
-    telemetry::SelfZone zone(cfg_.shard_threads == 0 ? "gpu.run_legacy"
-                                                     : "gpu.run_wheel");
-    if (cfg_.shard_threads == 0) {
-      while (core_cycle_ < max_core_cycles) {
-        step();
-        // finished() scans every structure; polling every cycle would dominate
-        // runtime, and no workload finishes in under 1k cycles.
-        if ((core_cycle_ & 1023) == 0) {
-          if (finished()) break;
-          if (heartbeat) maybe_heartbeat();
-        }
-      }
-    } else {
-      init_sharding();
-      run_wheel(max_core_cycles);
-    }
+    telemetry::SelfZone zone("gpu.run_wheel");
+    run_wheel(max_core_cycles);
   }
   if (self_enabled_) {
     self_stats_.run_wall_seconds +=
         seconds_between(run_start_wall_, std::chrono::steady_clock::now());
   }
   const bool ok = finished();
-  for (Partition& p : partitions_) p.mc->finalize();
+  finalize();
   return ok;
+}
+
+void GpuTop::finalize() {
+  for (Partition& p : partitions_) p.mc->finalize();
 }
 
 GpuTop::WheelSelfStats GpuTop::self_stats() const {
@@ -593,18 +584,22 @@ void GpuTop::run_wheel(Cycle max_core_cycles) {
   const bool heartbeat = cfg_.heartbeat_seconds > 0.0;
   while (core_cycle_ < max_core_cycles) {
     Cycle resume = std::min(serial_next_event(), max_core_cycles);
-    // Never skip past the legacy loop's finished() poll boundary, so the
-    // exit cycle (and core_cycles() metric) matches it exactly.
+    // Never skip past a finished() poll boundary (every 1024th core cycle),
+    // so the exit cycle (and core_cycles() metric) is the one a per-cycle
+    // step() loop polling at that period would see.
     resume = std::min(resume, (core_cycle_ | 1023) + 1);
     // Earliest memory event the serial side could observe: a reply becoming
     // poppable or the soonest possible CAS data return. The first core cycle
     // whose step sees that memory cycle bounds the skip; everything strictly
-    // before it is provably free of cross-domain traffic.
-    Cycle mem_cross = kNeverCycle;
-    for (const Partition& p : partitions_)
-      mem_cross = std::min(mem_cross, p.mc->next_cross_event(mem_now_));
-    if (mem_cross != kNeverCycle)
-      resume = std::min(resume, core_cycle_ + divider_.fast_cycles_until(mem_cross));
+    // before it is provably free of cross-domain traffic. Only asked when
+    // the serial side is quiet: a busy one steps regardless.
+    if (resume > core_cycle_ + 1) {
+      Cycle mem_cross = kNeverCycle;
+      for (const Partition& p : partitions_)
+        mem_cross = std::min(mem_cross, p.mc->next_cross_event(mem_now_));
+      if (mem_cross != kNeverCycle)
+        resume = std::min(resume, core_cycle_ + divider_.fast_cycles_until(mem_cross));
+    }
     if (resume <= core_cycle_ + 1) {
       step();
       if ((core_cycle_ & 1023) == 0) {

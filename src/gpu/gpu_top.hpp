@@ -4,8 +4,9 @@
 // This is the substrate equivalent of GPGPU-Sim's top level for the paper's
 // purposes: it turns a workload model into the interleaved, coalesced DRAM
 // request streams the lazy memory scheduler operates on, and runs the whole
-// machine cycle by cycle until the kernel (all warps) completes and the
-// memory system drains.
+// machine until the kernel (all warps) completes and the memory system
+// drains. The run loop is an event wheel: cycles in which some component can
+// act are stepped, quiet spans are fast-forwarded (see run()).
 #pragma once
 
 #include <chrono>
@@ -59,23 +60,30 @@ class GpuTop {
          check::CheckContext* check = nullptr);
 
   /// Runs until the workload finishes and the memory system drains, or
-  /// `max_core_cycles` elapse. Returns true iff it finished.
+  /// `max_core_cycles` elapse, then finalize()s. Returns true iff it
+  /// finished.
   ///
-  /// With GpuConfig::shard_threads == 0 this is the legacy cycle-by-cycle
-  /// loop. Otherwise the event-wheel driver runs: whenever the serial side
-  /// (SMs, crossbars, partition front-ends) has no work before the earliest
-  /// cross-domain event (a reply becoming poppable, the soonest possible
-  /// CAS data return), the core clock fast-forwards and only the memory
-  /// controllers advance over the gap — each skipping its own quiet spans
-  /// via next_event()/advance_idle(). shard_threads > 1 additionally runs
-  /// those controller-only epochs on a worker-lane pool with per-lane
-  /// telemetry capture, merged in (cycle, channel) order at each barrier.
-  /// Every mode is bit-identical in results and byte-identical in trace
-  /// output (Sharding.* tests, tools/diffcheck).
+  /// Event-wheel driver: whenever the serial side (SMs, crossbars,
+  /// partition front-ends) has no work before the earliest cross-domain
+  /// event (a reply becoming poppable, the soonest possible CAS data
+  /// return), the core clock fast-forwards and only the memory controllers
+  /// advance over the gap — each skipping its own quiet spans via
+  /// next_event()/advance_idle(). No skip crosses a finished() poll (every
+  /// 1024th core cycle), so the result equals that of calling step() every
+  /// cycle with the same poll. shard_threads > 1 additionally runs those
+  /// controller-only epochs on a worker-lane pool with per-lane telemetry
+  /// capture, merged in (cycle, channel) order at each barrier. Every lane
+  /// count is bit-identical in results and byte-identical in trace output
+  /// (Sharding.* tests, tools/diffcheck).
   bool run(Cycle max_core_cycles = 200'000'000);
 
   /// Advances one core cycle.
   void step();
+
+  /// End-of-run bookkeeping: flushes open rows, closes power accounting and
+  /// the final telemetry window on every channel. run() calls it; a caller
+  /// driving step() itself calls it once after its last step.
+  void finalize();
 
   bool finished() const;
 
@@ -119,8 +127,7 @@ class GpuTop {
   /// one core step in 64, so arming stays within the <=5% overhead budget:
   ///   serial_seconds            = run wall not spent in memory-only spans
   ///                               (SMs + crossbars + partition front-ends,
-  ///                               i.e. the side ROADMAP item 2 wants to
-  ///                               shard next);
+  ///                               the side that always runs on the caller);
   ///   mem_serial_seconds        = memory-only spans run on the caller;
   ///   mem_parallel_wall_seconds = memory-only epochs run on the lane pool;
   ///   barrier_stall_seconds     = lane-pool capacity not spent advancing
@@ -178,7 +185,7 @@ class GpuTop {
   /// in-flight crossbar packet, backlog, or due reply degrades to now + 1.
   Cycle serial_next_event() const;
 
-  /// Event-wheel main loop (shard_threads >= 1).
+  /// Event-wheel main loop.
   void run_wheel(Cycle max_core_cycles);
 
   /// Sizes the lane pool and capture buffers on first wheel entry.

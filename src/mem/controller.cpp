@@ -24,7 +24,6 @@ MemoryController::MemoryController(const GpuConfig& cfg, ChannelId id,
       scheduler_(std::move(scheduler)),
       num_banks_(cfg.banks_per_channel),
       watts_per_nj_per_cycle_(static_cast<double>(cfg.mem_clock_mhz) * 1e-3),
-      fast_path_(cfg.fast_path),
       bank_retry_at_(cfg.banks_per_channel, 0),
       bank_none_until_(cfg.banks_per_channel, 0),
       bank_acts_(cfg.banks_per_channel, 0),
@@ -173,23 +172,21 @@ void MemoryController::issue_one_command(Cycle now) {
     // issue before then, and the memo is invalidated whenever its pending
     // set changes. Only the closed-row ablation's idle precharge can still
     // apply here.
-    if (fast_path_) {
-      const bool empty = queue_.bank_size(b) == 0;
-      if (empty && !scheduler_->bank_draining(b)) {
-        if (row_policy_ == RowPolicy::kClosedRow && try_closed_row_precharge(b, now))
-          return;
+    const bool empty = queue_.bank_size(b) == 0;
+    if (empty && !scheduler_->bank_draining(b)) {
+      if (row_policy_ == RowPolicy::kClosedRow && try_closed_row_precharge(b, now))
+        return;
+      continue;
+    }
+    // Memos are only honored under open-row policy: a skipped decide()
+    // under the closed-row ablation could miss an idle precharge the
+    // unskipped path would have issued. The bank unblocks when the later
+    // of its two memos expires (each alone suffices to skip it).
+    if (!empty && row_policy_ == RowPolicy::kOpenRow) {
+      const Cycle memo = std::max(bank_retry_at_[b], bank_none_until_[b]);
+      if (now < memo) {
+        min_wake = std::min(min_wake, memo);
         continue;
-      }
-      // Memos are only honored under open-row policy: a skipped decide()
-      // under the closed-row ablation could miss an idle precharge the
-      // unskipped path would have issued. The bank unblocks when the later
-      // of its two memos expires (each alone suffices to skip it).
-      if (!empty && row_policy_ == RowPolicy::kOpenRow) {
-        const Cycle memo = std::max(bank_retry_at_[b], bank_none_until_[b]);
-        if (now < memo) {
-          min_wake = std::min(min_wake, memo);
-          continue;
-        }
       }
     }
 
@@ -220,7 +217,7 @@ void MemoryController::issue_one_command(Cycle now) {
         rr_bank_ = b + 1 == num_banks_ ? 0 : b + 1;
         return;
       }
-      if (fast_path_ && memo_safe_ && retry_at > now) {
+      if (memo_safe_ && retry_at > now) {
         bank_retry_at_[b] = retry_at;
         min_wake = std::min(min_wake, retry_at);
       } else {
@@ -231,8 +228,7 @@ void MemoryController::issue_one_command(Cycle now) {
       continue;  // Command not legal this cycle; give other banks a chance.
     }
 
-    if (fast_path_ && memo_safe_ && d.action == Decision::Action::kNone &&
-        d.none_until > now) {
+    if (memo_safe_ && d.action == Decision::Action::kNone && d.none_until > now) {
       bank_none_until_[b] = d.none_until;
       min_wake = std::min(min_wake, d.none_until);
     } else {
@@ -252,16 +248,15 @@ void MemoryController::issue_one_command(Cycle now) {
     if (row_policy_ == RowPolicy::kClosedRow && try_closed_row_precharge(b, now))
       return;
   }
-  if (fast_path_ && row_policy_ == RowPolicy::kOpenRow && all_blocked &&
-      min_wake != kNeverCycle && min_wake > now)
+  if (row_policy_ == RowPolicy::kOpenRow && all_blocked && min_wake != kNeverCycle &&
+      min_wake > now)
     cmd_wake_ = min_wake;
 }
 
 void MemoryController::tick(Cycle now_mem) {
   end_mem_ = now_mem + 1;
   // Nothing in `inflight_` can retire before the tracked minimum done-cycle,
-  // so until then the completion scan is a provable no-op (ungated by
-  // fast_path_: bit-exact by construction).
+  // so until then the completion scan is a provable no-op.
   if (next_burst_done_ <= now_mem) complete_bursts(now_mem);
   scheduler_->tick(now_mem, dram_.bus_busy_cycles());
   if (checker_ != nullptr) checker_->on_tick(queue_, now_mem);
@@ -269,10 +264,9 @@ void MemoryController::tick(Cycle now_mem) {
   // Policy gauges (DMS delay, Th_RBL) only change inside the scheduler tick
   // above, so one fill_probe serves the recorder — which needs the delay
   // current *at decision time* — the end-of-cycle sampler below, and the
-  // fast path's delay-change edge detection.
+  // memos' delay-change edge detection.
   telemetry::WindowProbe probe;
-  if (fast_path_ || recorder_ != nullptr || sampler_ != nullptr)
-    scheduler_->fill_probe(probe);
+  scheduler_->fill_probe(probe);
   if (recorder_ != nullptr) recorder_->on_delay(now_mem, probe.dms_delay);
 
   // The none_until horizons assumed a constant DMS delay; drop them all on
@@ -281,7 +275,7 @@ void MemoryController::tick(Cycle now_mem) {
   // command becomes legal, but a delay change can un-gate a different
   // request (e.g. a younger row hit) whose command is legal immediately —
   // the choice the memo froze is stale, not just its timing.
-  if (fast_path_ && probe.dms_delay != last_dms_delay_) {
+  if (probe.dms_delay != last_dms_delay_) {
     last_dms_delay_ = probe.dms_delay;
     std::fill(bank_none_until_.begin(), bank_none_until_.end(), Cycle{0});
     std::fill(bank_retry_at_.begin(), bank_retry_at_.end(), Cycle{0});
@@ -295,8 +289,7 @@ void MemoryController::tick(Cycle now_mem) {
   // drop-pass work is an active drain awaiting lazy retirement (the pass
   // must keep visiting that bank), hence draining(), not may_drop(): budget
   // headroom alone gives the pass nothing to visit.
-  const bool idle_cycle = fast_path_ && queue_.empty() &&
-                          !(drops_possible_ && scheduler_->draining()) &&
+  const bool idle_cycle = queue_.empty() && !(drops_possible_ && scheduler_->draining()) &&
                           row_policy_ == RowPolicy::kOpenRow;
   if (!idle_cycle) {
     // At most one AMS drop per cycle ("dropped sequentially in the following
@@ -320,10 +313,9 @@ void MemoryController::tick(Cycle now_mem) {
       for (; scheduler_->may_drop() && i < num_banks_; ++i) {
         BankId b = drop_rr_bank_ + i;
         if (b >= num_banks_) b -= num_banks_;
-        if (fast_path_ && queue_.bank_size(b) == 0 && !scheduler_->bank_draining(b))
+        if (queue_.bank_size(b) == 0 && !scheduler_->bank_draining(b))
           continue;  // Nothing to drop and no drain state to retire.
-        if (fast_path_ && row_policy_ == RowPolicy::kOpenRow &&
-            now_mem < bank_none_until_[b]) {
+        if (row_policy_ == RowPolicy::kOpenRow && now_mem < bank_none_until_[b]) {
           min_wake = std::min(min_wake, bank_none_until_[b]);
           continue;  // Age-gated: decide() is provably still kNone.
         }
@@ -334,7 +326,7 @@ void MemoryController::tick(Cycle now_mem) {
             d.action != Decision::Action::kNone || d.req_id == kInvalidRequest,
             "kNone decision carries a request id (use none()/gated())");
         if (d.action != Decision::Action::kDrop) {
-          if (fast_path_ && memo_safe_ && d.action == Decision::Action::kNone &&
+          if (memo_safe_ && d.action == Decision::Action::kNone &&
               d.none_until > now_mem) {
             bank_none_until_[b] = d.none_until;
             min_wake = std::min(min_wake, d.none_until);
@@ -374,8 +366,8 @@ void MemoryController::tick(Cycle now_mem) {
         dropped_one = true;
         break;
       }
-      if (fast_path_ && row_policy_ == RowPolicy::kOpenRow && !dropped_one &&
-          i == num_banks_ && all_gated && min_wake != kNeverCycle)
+      if (row_policy_ == RowPolicy::kOpenRow && !dropped_one && i == num_banks_ &&
+          all_gated && min_wake != kNeverCycle)
         drop_wake_ = min_wake;
     }
 
@@ -391,12 +383,10 @@ void MemoryController::tick(Cycle now_mem) {
 }
 
 Cycle MemoryController::next_event(Cycle now) const {
-  // Conservative bail-outs: without the fast-path invariants there are no
-  // wake memos to reason from; the closed-row ablation issues idle
-  // precharges from unmemoized banks; a stream recorder logs the DMS delay
-  // every tick. In all three cases every cycle must run for real.
-  if (!fast_path_ || row_policy_ != RowPolicy::kOpenRow || recorder_ != nullptr)
-    return now + 1;
+  // Conservative bail-outs: the closed-row ablation issues idle precharges
+  // from unmemoized banks, and a stream recorder logs the DMS delay every
+  // tick. In both cases every cycle must run for real.
+  if (row_policy_ != RowPolicy::kOpenRow || recorder_ != nullptr) return now + 1;
 
   Cycle ev = next_burst_done_;  // Completion scan has work at this cycle.
   ev = std::min(ev, scheduler_->next_tick_event(now));

@@ -57,15 +57,15 @@ class MemoryController {
 
   void tick(Cycle now_mem);
 
-  // --- Event-wheel horizons (sharded/fast-forward main loop) ---
+  // --- Event-wheel horizons (GpuTop's fast-forwarding main loop) ---
 
   /// Earliest future memory cycle (> now) at which tick() could have any
   /// observable effect, assuming nothing external touches the controller in
   /// between (no enqueue, no reply pop — both end a skip anyway). All ticks
   /// in (now, next_event(now)) are provable no-ops except for per-tick
   /// bookkeeping that advance_idle() replays exactly. Returns now + 1
-  /// whenever no cheap proof applies (non-fast-path, closed-row ablation, an
-  /// attached recorder, a pending drain, ...): the conservative answer is
+  /// whenever no cheap proof applies (closed-row ablation, an attached
+  /// recorder, a pending drain, ...): the conservative answer is
   /// always sound, it just disables skipping.
   Cycle next_event(Cycle now) const;
 
@@ -223,15 +223,13 @@ class MemoryController {
   Cycle end_mem_ = 0;
   /// nJ-per-cycle -> watts conversion (mem_clock_mhz * 1e-3).
   double watts_per_nj_per_cycle_;
-  /// Schedulability fast paths enabled (GpuConfig::fast_path).
-  bool fast_path_;
   /// Cached Scheduler::drops_possible(): non-AMS schemes never run the drop
   /// pass, not even the may_drop() poll.
   bool drops_possible_;
   /// Cached Scheduler::decide_memo_safe(): policies with cross-bank coupling
   /// (BLISS) run with the per-bank retry/none_until memos disabled — only
-  /// the unconditionally safe fast paths (empty-bank skip, idle
-  /// short-circuit) remain for them.
+  /// the unconditionally safe skips (empty-bank skip, idle short-circuit)
+  /// remain for them.
   bool memo_safe_;
   /// Per-bank retry memo: the command pass skips a bank until this cycle
   /// after its chosen command failed legality (earliest_issue lower bound).
@@ -250,7 +248,7 @@ class MemoryController {
   /// by a per-bank memo (and nothing issued/dropped), the pass itself is
   /// skipped until the earliest per-bank horizon. Invalidated together with
   /// the per-bank memos (enqueue, drop, DMS delay change); only ever set
-  /// under open-row fast-path, so 0 elsewhere.
+  /// under open-row policy, so 0 elsewhere.
   Cycle cmd_wake_ = 0;
   Cycle drop_wake_ = 0;
   /// Earliest done-cycle among `inflight_` (kNeverCycle when empty); lets

@@ -21,21 +21,35 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
+// Parses a whole decimal string. strtoull alone would take "8x" as 8 and
+// wrap "-3", so the digits must be the whole string.
+bool parse_whole(const std::string& text, unsigned long long& out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(text.c_str(), &end, 10);
+  return *end == '\0' && errno == 0;
+}
+
 }  // namespace
 
 std::uint64_t trace_sample_from_env() {
   const std::string text = telemetry::env_string("LAZYDRAM_TRACE_SAMPLE");
   if (text.empty()) return 1;
-  // Accept "N" or the documented "1/N" spelling. strtoull alone would take
-  // "8x" as 8 and wrap "-3", so the digits must be the whole string.
-  const std::string n = text.rfind("1/", 0) == 0 ? text.substr(2) : text;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(n.c_str(), &end, 10);
-  if (!n.empty() && std::isdigit(static_cast<unsigned char>(n[0])) && *end == '\0' &&
-      errno == 0 && v > 0)
-    return v;
+  // Accept "N" or the documented "1/N" spelling.
+  unsigned long long v = 0;
+  if (parse_whole(text.rfind("1/", 0) == 0 ? text.substr(2) : text, v) && v > 0) return v;
   log_warn("LAZYDRAM_TRACE_SAMPLE='%s' not recognized (want N or 1/N, N > 0); using 1",
+           text.c_str());
+  return 1;
+}
+
+unsigned shard_threads_from_env() {
+  const std::string text = telemetry::env_string("LAZYDRAM_SHARD");
+  if (text.empty()) return 1;
+  unsigned long long v = 0;
+  if (parse_whole(text, v) && v >= 1 && v <= 64) return static_cast<unsigned>(v);
+  log_warn("LAZYDRAM_SHARD='%s' not recognized (want a lane count 1..64); using 1",
            text.c_str());
   return 1;
 }
@@ -44,19 +58,6 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
   log_level();  // Resolve LAZYDRAM_LOG up front so a typo in it warns even
                 // if the run never logs.
   GpuConfig cfg = config.gpu;
-
-  // A/B knob for the controller's schedulability fast paths: the diffcheck
-  // equivalence matrix and perf triage compare LAZYDRAM_FAST=off runs
-  // against the (default-on) optimized ones.
-  if (const std::string fast = telemetry::env_string("LAZYDRAM_FAST"); !fast.empty()) {
-    if (fast == "off" || fast == "0")
-      cfg.fast_path = false;
-    else if (fast == "on" || fast == "1")
-      cfg.fast_path = true;
-    else
-      log_warn("LAZYDRAM_FAST='%s' not recognized (want on|off|1|0); ignored",
-               fast.c_str());
-  }
 
   // A/B knob for the state-based power accountant (default on). Strictly
   // passive — results are bit-identical either way; off removes the energy
@@ -71,22 +72,11 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
                pw.c_str());
   }
 
-  // Sharded run loop: LAZYDRAM_SHARD=N partitions the memory controllers
-  // over N worker lanes inside the event-wheel driver (0 = legacy loop,
-  // 1 = event wheel on one thread). Results and trace output are
-  // bit-identical for every value; an explicit RunConfig/GpuConfig setting
-  // wins over the environment.
-  if (cfg.shard_threads == 0) {
-    if (const std::string sh = telemetry::env_string("LAZYDRAM_SHARD"); !sh.empty()) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(sh.c_str(), &end, 10);
-      if (end != nullptr && *end == '\0' && v <= 64)
-        cfg.shard_threads = static_cast<unsigned>(v);
-      else
-        log_warn("LAZYDRAM_SHARD='%s' not recognized (want an integer 0..64); ignored",
-                 sh.c_str());
-    }
-  }
+  // Worker lanes of the event-wheel driver: LAZYDRAM_SHARD=N partitions the
+  // memory controllers over N lanes. Results and trace output are
+  // bit-identical for every value; a non-default RunConfig/GpuConfig
+  // setting wins over the environment.
+  if (cfg.shard_threads == 1) cfg.shard_threads = shard_threads_from_env();
 
   // Self-observability knobs. The profiler arm switch is process-global and
   // sticky: a run that wants it only ever turns it ON (a concurrent sweep
@@ -114,21 +104,10 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
     }
   }
 
-  // Resolve the scheduler policy, most explicit first: a non-default
-  // RunConfig::policy (legacy PolicyKind), then a configured
-  // GpuConfig::policy.name, then $LAZYDRAM_POLICY, else "lazy". All paths
-  // construct via the SchedulerRegistry — the one construction seam the
-  // golden-model diff harness shares (see src/core/scheduler_registry.hpp).
-  switch (config.policy) {
-    case PolicyKind::kLazy:
-      break;  // Keep whatever cfg.policy.name says (usually empty = lazy).
-    case PolicyKind::kFrFcfs:
-      cfg.policy.name = "frfcfs";
-      break;
-    case PolicyKind::kFcfs:
-      cfg.policy.name = "fcfs";
-      break;
-  }
+  // Resolve the scheduler policy: a configured GpuConfig::policy.name wins,
+  // then $LAZYDRAM_POLICY, else "lazy". All paths construct via the
+  // SchedulerRegistry — the one construction seam the golden-model diff
+  // harness shares (see src/core/scheduler_registry.hpp).
   if (cfg.policy.name.empty()) {
     if (const std::string pol = telemetry::env_string("LAZYDRAM_POLICY"); !pol.empty()) {
       std::string error;

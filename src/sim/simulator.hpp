@@ -15,17 +15,12 @@
 
 namespace lazydram::sim {
 
-/// Which scheduler runs in each memory controller.
-enum class PolicyKind {
-  kLazy,    ///< core::LazyScheduler configured by a SchemeSpec (the default).
-  kFrFcfs,  ///< Plain FR-FCFS (identical to kLazy with everything disabled).
-  kFcfs,    ///< In-order FCFS (ablation baseline).
-};
-
 struct RunConfig {
   GpuConfig gpu{};                       ///< Table I defaults.
-  core::SchemeSpec spec{};               ///< Used when policy == kLazy.
-  PolicyKind policy = PolicyKind::kLazy;
+  /// Scheme of the lazy scheduler. A different policy is named by
+  /// gpu.policy.name (see core::parse_policy_spec); $LAZYDRAM_POLICY
+  /// applies when that is empty.
+  core::SchemeSpec spec{};
   RowPolicy row_policy = RowPolicy::kOpenRow;
   bool compute_error = true;
   Cycle max_core_cycles = 200'000'000;
@@ -82,6 +77,10 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
 /// Lifecycle sampling rate from $LAZYDRAM_TRACE_SAMPLE, spelled "N" or
 /// "1/N" with N > 0. Unset gives 1; anything else warns and gives 1.
 std::uint64_t trace_sample_from_env();
+
+/// Event-wheel lane count from $LAZYDRAM_SHARD, a whole number 1..64. Unset
+/// gives 1; anything else (0 included) warns and gives 1.
+unsigned shard_threads_from_env();
 
 /// Convenience: run one of the seven paper schemes with default config.
 RunMetrics simulate_scheme(const workloads::Workload& workload, core::SchemeKind kind,

@@ -1,6 +1,6 @@
 // Policy-conformance fuzzer: every registered scheduler policy is driven
 // through a seeded synthetic request stream by a mirror harness that enforces
-// the decide() contract the controller's fast paths rely on (see
+// the decide() contract the controller's skips and memos rely on (see
 // src/mem/scheduler.hpp):
 //
 //   * decide() is side-effect-free — the controller may call it twice per
@@ -8,6 +8,9 @@
 //     identical notification stream but double-called must never diverge
 //     from the single-called primary;
 //   * kNone answers carry the kInvalidRequest sentinel, never a live id;
+//   * an empty, non-draining bank answers kNone without side effects (the
+//     controller skips decide() for it, so the mirror asks and the primary
+//     does not);
 //   * none_until horizons are sound for decide_memo_safe() policies: the
 //     answer stays kNone until the horizon unless the bank's pending set or
 //     the policy's delay/threshold knobs change;
@@ -152,8 +155,17 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
       if (busy_until[b] > now) continue;  // Command engine busy: no decide.
       const bool draining = primary->bank_draining(b);
       EXPECT_EQ(draining, mirror->bank_draining(b)) << pc.name;
-      // The controller skips banks with neither pending work nor a drain.
-      if (queue.bank_size(b) == 0 && !draining) continue;
+      // The controller skips banks with neither pending work nor a drain
+      // without consulting decide(), under either row policy. That is only
+      // sound if decide() there is a side-effect-free kNone: ask the mirror,
+      // so any side effect shows up as a primary-vs-mirror divergence.
+      if (queue.bank_size(b) == 0 && !draining) {
+        const Decision skipped = mirror->decide(queue, banks[b], now);
+        EXPECT_EQ(skipped.action, Decision::Action::kNone)
+            << pc.name << ": empty bank " << static_cast<int>(b) << " at cycle " << now;
+        EXPECT_EQ(skipped.req_id, kInvalidRequest) << pc.name;
+        continue;
+      }
 
       const Decision d = primary->decide(queue, banks[b], now);
       const Decision m1 = mirror->decide(queue, banks[b], now);

@@ -263,7 +263,7 @@ TEST(PowerAccounting, PerBankSumsMatchChannelTotals) {
 
 // The accountant is strictly passive: turning it off must not change a
 // single simulated result, only remove the energy observability (same
-// discipline as Simulator.FastPathOffMatchesFastPathOn).
+// discipline as FlightRecorder.OnIsBitIdentical).
 TEST(PowerAccounting, OffIsBitIdentical) {
   const auto wl = workloads::make_workload("SCP");
   ASSERT_NE(wl, nullptr);

@@ -1,8 +1,8 @@
 // SchedulerRegistry tests: built-in policy catalog, capability flags of the
 // constructed schedulers, the policy-spec grammar, label resolution, and —
 // the regression for the old duplicated construction switches — equality of
-// every construction route (legacy PolicyKind, cfg.policy.name, and the
-// $LAZYDRAM_POLICY environment override) on a real workload.
+// every construction route (cfg.policy.name and the $LAZYDRAM_POLICY
+// environment override) on a real workload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -134,10 +134,9 @@ TEST(PolicySpec, RejectsBadSpecsWithoutTouchingConfig) {
   }
 }
 
-// The regression behind this PR: the legacy PolicyKind switch, the config
-// name, and the environment override previously lived in separately
-// hand-rolled construction code; all three routes must now build the exact
-// same scheduler and produce bit-identical runs.
+// The regression for the old duplicated construction switches: the config
+// name and the environment override must build the exact same scheduler
+// and produce bit-identical runs.
 TEST(SchedulerRegistry, AllConstructionRoutesAgree) {
   const auto wl = workloads::make_workload("SCP");
   ASSERT_NE(wl, nullptr);
@@ -147,26 +146,21 @@ TEST(SchedulerRegistry, AllConstructionRoutesAgree) {
     return sim::simulate(*wl, rc);
   };
 
-  sim::RunConfig via_kind;
-  via_kind.policy = sim::PolicyKind::kFcfs;
   sim::RunConfig via_name;
   via_name.gpu.policy.name = "fcfs";
-  const sim::RunMetrics a = run(via_kind);
-  const sim::RunMetrics b = run(via_name);
+  const sim::RunMetrics a = run(via_name);
 
   ASSERT_EQ(::setenv("LAZYDRAM_POLICY", "fcfs", 1), 0);
-  const sim::RunMetrics c = run(sim::RunConfig{});  // Name empty: env applies.
+  const sim::RunMetrics b = run(sim::RunConfig{});  // Name empty: env applies.
   ASSERT_EQ(::unsetenv("LAZYDRAM_POLICY"), 0);
 
-  for (const sim::RunMetrics* m : {&b, &c}) {
-    EXPECT_EQ(m->scheme, "FCFS");
-    EXPECT_EQ(m->core_cycles, a.core_cycles);
-    EXPECT_EQ(m->mem_cycles, a.mem_cycles);
-    EXPECT_EQ(m->instructions, a.instructions);
-    EXPECT_EQ(m->activations, a.activations);
-    EXPECT_EQ(m->dram_reads, a.dram_reads);
-    EXPECT_EQ(m->dram_writes, a.dram_writes);
-  }
+  for (const sim::RunMetrics* m : {&a, &b}) EXPECT_EQ(m->scheme, "FCFS");
+  EXPECT_EQ(b.core_cycles, a.core_cycles);
+  EXPECT_EQ(b.mem_cycles, a.mem_cycles);
+  EXPECT_EQ(b.instructions, a.instructions);
+  EXPECT_EQ(b.activations, a.activations);
+  EXPECT_EQ(b.dram_reads, a.dram_reads);
+  EXPECT_EQ(b.dram_writes, a.dram_writes);
 }
 
 TEST(SchedulerRegistry, ExplicitConfigNameBeatsEnvironment) {

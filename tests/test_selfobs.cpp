@@ -234,7 +234,7 @@ TEST(FlightRecorderDeathTest, AssertFailureDumpsRings) {
 // ---------------------------------------------------------------------------
 // The core contract: arming the whole self-observability layer — profiler,
 // heartbeat (armed but silent), flight recorder — changes no simulation
-// output byte, for the legacy loop, the serial wheel and four lanes.
+// output byte, on one wheel lane and on four.
 // ---------------------------------------------------------------------------
 
 // Excise one "key": {...} object (possibly holding nested containers) from a
@@ -297,7 +297,7 @@ TEST(FlightRecorder, OnIsBitIdentical) {
   const auto wl = workloads::make_workload("SCP");
   ASSERT_NE(wl, nullptr);
 
-  for (const unsigned shard : {0u, 1u, 4u}) {
+  for (const unsigned shard : {1u, 4u}) {
     SCOPED_TRACE("shard " + std::to_string(shard));
     const std::string tag = std::to_string(shard);
 

@@ -1,9 +1,10 @@
-// Sharded run-loop tests: the event-wheel driver (shard_threads >= 1) and
-// the worker-lane epochs (shard_threads > 1) must be bit-identical to the
-// legacy cycle-by-cycle loop in every metric and byte-identical in every
-// trace/report output — sharding is an execution strategy, never a model
-// change. Also home to the stale-memo regression (DMS delay changes must
-// invalidate the controller's bank horizon memos).
+// Event-wheel run-loop tests: the wheel on one lane and on four worker lanes
+// must be bit-identical to a per-cycle reference loop (GpuTop::step() every
+// core cycle) in every metric, and lanes must be byte-identical in every
+// trace/report output — fast-forwarding and sharding are execution
+// strategies, never model changes. Also home to the stale-memo regression
+// (DMS delay changes must invalidate the controller's bank horizon memos),
+// checked against the golden model.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,12 +14,16 @@
 #include <string>
 #include <vector>
 
+#include "check/golden.hpp"
+#include "check/recorder.hpp"
 #include "common/config.hpp"
 #include "core/lazy_scheduler.hpp"
 #include "core/scheduler_registry.hpp"
 #include "core/scheme.hpp"
 #include "dram/address.hpp"
+#include "gpu/gpu_top.hpp"
 #include "mem/controller.hpp"
+#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/mix.hpp"
 #include "workloads/registry.hpp"
@@ -47,39 +52,59 @@ void expect_metrics_equal(const sim::RunMetrics& a, const sim::RunMetrics& b,
   EXPECT_DOUBLE_EQ(a.bwutil, b.bwutil);
 }
 
-sim::RunMetrics run_sharded(const workloads::Workload& wl, core::SchemeKind kind,
+sim::RunMetrics run_sharded(const workloads::Workload& wl, sim::RunConfig config,
                             unsigned shard) {
-  sim::RunConfig config;
-  config.spec = core::make_scheme_spec(kind, config.gpu.scheme);
-  config.compute_error = false;
   config.gpu.shard_threads = shard;
   config.ignore_env_outputs = true;
   return sim::simulate(wl, config);
 }
 
-// The tentpole guarantee, proven rather than assumed: for every scheme of
-// the paper's matrix on three workloads, the legacy loop (shard 0), the
-// serial event wheel (shard 1) and four worker lanes (shard 4) produce
-// bit-identical metrics.
+// The per-cycle reference: step() every core cycle, with finished() polled
+// every 1024th cycle — the exit rule the wheel keeps — then the same
+// finalize and metric collection a simulate() run ends with.
+sim::RunMetrics run_reference(const workloads::Workload& wl,
+                              const sim::RunConfig& config) {
+  const GpuConfig& cfg = config.gpu;
+  gpu::GpuTop top(cfg, wl, core::make_scheduler_factory(cfg, config.spec),
+                  config.row_policy);
+  while (top.core_cycles() < config.max_core_cycles) {
+    top.step();
+    if ((top.core_cycles() & 1023) == 0 && top.finished()) break;
+  }
+  top.finalize();
+  return sim::collect_metrics(top, wl, core::run_label(cfg, config.spec),
+                              config.compute_error);
+}
+
+void expect_lanes_match_reference(const workloads::Workload& wl,
+                                  const sim::RunConfig& config,
+                                  const std::string& what) {
+  const sim::RunMetrics reference = run_reference(wl, config);
+  expect_metrics_equal(reference, run_sharded(wl, config, 1), what + " (wheel)");
+  expect_metrics_equal(reference, run_sharded(wl, config, 4), what + " (4 lanes)");
+}
+
+// The driver guarantee, proven rather than assumed: for every scheme of the
+// paper's matrix on three workloads, the serial event wheel (one lane) and
+// four worker lanes produce metrics bit-identical to the per-cycle
+// reference loop.
 TEST(Sharding, LockstepAcrossSchemesAndWorkloads) {
   for (const char* name : {"SCP", "CONS", "MVT"}) {
     const auto wl = workloads::make_workload(name);
     ASSERT_NE(wl, nullptr);
     for (const core::SchemeKind kind : core::all_schemes()) {
-      const std::string what =
-          std::string(name) + " / " + core::scheme_name(kind);
-      const sim::RunMetrics legacy = run_sharded(*wl, kind, 0);
-      const sim::RunMetrics wheel = run_sharded(*wl, kind, 1);
-      const sim::RunMetrics lanes = run_sharded(*wl, kind, 4);
-      expect_metrics_equal(legacy, wheel, what + " (wheel)");
-      expect_metrics_equal(legacy, lanes, what + " (4 lanes)");
+      sim::RunConfig config;
+      config.spec = core::make_scheme_spec(kind, config.gpu.scheme);
+      config.compute_error = false;
+      expect_lanes_match_reference(*wl, config,
+                                   std::string(name) + " / " + core::scheme_name(kind));
     }
   }
 }
 
-// Multi-tenant front-end over the sharded driver: three tenants with
-// distinct kernels, budgets and think times, run under the full Dyn-DMS+AMS
-// scheme with per-tenant QoS caps.
+// Multi-tenant front-end over the wheel: three tenants with distinct
+// kernels, budgets and think times, run under the full Dyn-DMS+AMS scheme
+// with per-tenant QoS caps.
 TEST(Sharding, MixWorkloadLockstep) {
   std::vector<workloads::MixTenant> tenants(3);
   tenants[0].kernels = {"SCP"};
@@ -96,24 +121,13 @@ TEST(Sharding, MixWorkloadLockstep) {
   sim::RunConfig config;
   config.spec = core::make_scheme_spec(core::SchemeKind::kDynCombo, config.gpu.scheme);
   config.compute_error = false;
-  config.ignore_env_outputs = true;
   for (const workloads::MixTenant& t : tenants) {
     TenantQos qos;
     qos.coverage_cap = t.coverage_cap;
     qos.dms_delay_cap = t.dms_delay_cap;
     config.gpu.scheme.tenant_qos.push_back(qos);
   }
-
-  sim::RunConfig wheel = config;
-  wheel.gpu.shard_threads = 1;
-  sim::RunConfig lanes = config;
-  lanes.gpu.shard_threads = 4;
-
-  const sim::RunMetrics legacy = sim::simulate(mix, config);
-  const sim::RunMetrics a = sim::simulate(mix, wheel);
-  const sim::RunMetrics b = sim::simulate(mix, lanes);
-  expect_metrics_equal(legacy, a, "mix (wheel)");
-  expect_metrics_equal(legacy, b, "mix (4 lanes)");
+  expect_lanes_match_reference(mix, config, "mix");
 }
 
 std::string read_file(const std::string& path) {
@@ -172,8 +186,10 @@ TEST(Sharding, ShardedTraceAndReportByteIdentical) {
 // including large downward jumps at search restarts — and a memo recorded
 // under the old delay would otherwise park a newly-eligible bank past its
 // legal service cycle. The fix clears every memo on a delay edge; with it,
-// fast-path on/off runs are command-for-command identical. Small windows and
-// frequent restarts make this fail deterministically on the stale-memo bug.
+// every serve matches the golden model's replay of the recorded stream
+// (which re-derives DMS gating from the recorded delay timeline and keeps no
+// memos at all). Small windows and frequent restarts make this fail
+// deterministically on the stale-memo bug.
 TEST(Sharding, DelayChangeInvalidatesHorizonMemos) {
   GpuConfig cfg;
   cfg.scheme.profile_window = 64;
@@ -185,47 +201,45 @@ TEST(Sharding, DelayChangeInvalidatesHorizonMemos) {
   const core::SchemeSpec spec =
       core::make_scheme_spec(core::SchemeKind::kDynDms, cfg.scheme);
 
-  GpuConfig cfg_off = cfg;
-  cfg_off.fast_path = false;
-
-  auto make = [&](const GpuConfig& c) {
-    std::unique_ptr<Scheduler> sched = core::make_scheduler(c, spec);
-    return std::make_unique<MemoryController>(c, 0, mapper, std::move(sched),
-                                              RowPolicy::kOpenRow);
-  };
-  auto fast = make(cfg);
-  auto slow = make(cfg_off);
+  MemoryController mc(cfg, 0, mapper, core::make_scheduler(cfg, spec),
+                      RowPolicy::kOpenRow);
+  check::ChannelRecorder recorder(0);
+  recorder.set_spec(spec);
+  mc.set_recorder(&recorder);
 
   // A steady precise row-miss stream (every request a fresh row) keeps banks
-  // age-gated almost continuously, so delay edges land mid-gate.
+  // age-gated almost continuously, so delay edges land mid-gate. Arrivals
+  // enqueue after the cycle's tick, as GpuTop::partition_tick does, so the
+  // golden replay's "schedulable the cycle after enqueue" rule holds.
   RequestId next_id = 1;
   std::uint32_t row = 1;
-  Cycle now = 0;
-  for (; now < 6000; ++now) {
+  for (Cycle now = 0; now < 6000; ++now) {
+    mc.tick(now);
     if (now % 37 == 0) {
       MemRequest r;
       r.id = next_id++;
       r.line_addr = mapper.compose(0, /*bank=*/row % 4, /*row=*/row, 0);
       r.kind = AccessKind::kRead;
       ++row;
-      fast->enqueue(r, now);
-      slow->enqueue(r, now);
+      mc.enqueue(r, now);
     }
-    fast->tick(now);
-    slow->tick(now);
-    while (auto rep = fast->pop_reply(now)) {
+    while (mc.pop_reply(now)) {
     }
-    while (auto rep = slow->pop_reply(now)) {
-    }
-    ASSERT_EQ(fast->reads_served(), slow->reads_served()) << "cycle " << now;
-    ASSERT_EQ(fast->channel().activations(), slow->channel().activations())
-        << "cycle " << now;
   }
-  fast->finalize();
-  slow->finalize();
-  EXPECT_GT(fast->reads_served(), 0u);
-  EXPECT_EQ(fast->read_latency().count(), slow->read_latency().count());
-  EXPECT_DOUBLE_EQ(fast->read_latency().mean(), slow->read_latency().mean());
+  mc.finalize();
+
+  const check::ChannelRecording& rec = recorder.recording();
+  ASSERT_GT(rec.delay_changes.size(), 2u);  // The delay actually moved.
+  ASSERT_GT(rec.serves.size(), 100u);
+  const check::GoldenTimeline golden = check::golden_replay(rec, cfg);
+  ASSERT_TRUE(golden.completed);
+  for (const check::RecordedServe& s : rec.serves) {
+    const auto it = golden.entries.find(s.id);
+    ASSERT_NE(it, golden.entries.end()) << "request " << s.id;
+    ASSERT_EQ(it->second.outcome, check::GoldenOutcome::kServed) << "request " << s.id;
+    EXPECT_EQ(s.cas_cycle, it->second.cas_cycle) << "request " << s.id;
+    EXPECT_EQ(s.done_cycle, it->second.done_cycle) << "request " << s.id;
+  }
 }
 
 }  // namespace

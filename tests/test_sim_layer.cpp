@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "core/scheme.hpp"
 #include "sim/experiment.hpp"
@@ -82,49 +83,6 @@ TEST(Report, BenchWorkloadsNonEmptyAndRegistered) {
   EXPECT_GE(sim::bench_workloads().size(), 8u);
 }
 
-// The schedulability fast paths (GpuConfig::fast_path: bank skipping, retry
-// and none-horizon memos, idle-cycle skipping) are a pure wall-clock
-// optimization: with them off the same run must produce bit-identical
-// metrics. Dyn-DMS+AMS exercises every memo (age gating, drops, delay
-// changes); the closed-row baseline exercises the idle-precharge carve-out.
-TEST(Simulator, FastPathOffMatchesFastPathOn) {
-  struct Case {
-    core::SchemeKind kind;
-    RowPolicy row_policy;
-  };
-  for (const Case& c : {Case{core::SchemeKind::kDynCombo, RowPolicy::kOpenRow},
-                        Case{core::SchemeKind::kBaseline, RowPolicy::kClosedRow}}) {
-    const auto wl = workloads::make_workload("SCP");
-    ASSERT_NE(wl, nullptr);
-    sim::RunConfig on;
-    on.spec = core::make_scheme_spec(c.kind, on.gpu.scheme);
-    on.row_policy = c.row_policy;
-    on.compute_error = false;
-    sim::RunConfig off = on;
-    on.gpu.fast_path = true;
-    off.gpu.fast_path = false;
-
-    const sim::RunMetrics a = sim::simulate(*wl, on);
-    const sim::RunMetrics b = sim::simulate(*wl, off);
-    ASSERT_TRUE(a.finished);
-    ASSERT_TRUE(b.finished);
-    EXPECT_EQ(a.core_cycles, b.core_cycles);
-    EXPECT_EQ(a.mem_cycles, b.mem_cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.activations, b.activations);
-    EXPECT_EQ(a.dram_reads, b.dram_reads);
-    EXPECT_EQ(a.dram_writes, b.dram_writes);
-    EXPECT_EQ(a.drops, b.drops);
-    EXPECT_EQ(a.reads_received, b.reads_received);
-    EXPECT_DOUBLE_EQ(a.avg_rbl, b.avg_rbl);
-    EXPECT_DOUBLE_EQ(a.total_energy_nj, b.total_energy_nj);
-    EXPECT_DOUBLE_EQ(a.coverage, b.coverage);
-    EXPECT_DOUBLE_EQ(a.avg_delay, b.avg_delay);
-    EXPECT_DOUBLE_EQ(a.avg_th_rbl, b.avg_th_rbl);
-    EXPECT_DOUBLE_EQ(a.bwutil, b.bwutil);
-  }
-}
-
 TEST(Simulator, TraceSampleEnvAcceptsOnlyWholePositiveCounts) {
   const auto sample = [](const char* text) {
     ::setenv("LAZYDRAM_TRACE_SAMPLE", text, 1);
@@ -142,6 +100,34 @@ TEST(Simulator, TraceSampleEnvAcceptsOnlyWholePositiveCounts) {
   EXPECT_EQ(sample("99999999999999999999"), 1u);  // Out of range.
   ::unsetenv("LAZYDRAM_TRACE_SAMPLE");
   EXPECT_EQ(sim::trace_sample_from_env(), 1u);
+}
+
+// LAZYDRAM_SHARD is a lane count 1..64. Anything else, 0 included, warns
+// and runs on one lane.
+TEST(Simulator, ShardEnvOutsideLaneRangeWarnsAndRuns) {
+  const auto lanes = [](const char* text) {
+    ::setenv("LAZYDRAM_SHARD", text, 1);
+    return sim::shard_threads_from_env();
+  };
+  EXPECT_EQ(lanes("4"), 4u);
+  EXPECT_EQ(lanes("64"), 64u);
+  EXPECT_EQ(lanes("65"), 1u);
+  EXPECT_EQ(lanes("-1"), 1u);
+  EXPECT_EQ(lanes("4x"), 1u);
+
+  const auto wl = workloads::make_workload("SCP");
+  ASSERT_NE(wl, nullptr);
+  sim::RunConfig config;
+  config.spec = core::make_scheme_spec(core::SchemeKind::kBaseline, config.gpu.scheme);
+  config.compute_error = false;
+  config.ignore_env_outputs = true;
+  ::setenv("LAZYDRAM_SHARD", "0", 1);
+  ::testing::internal::CaptureStderr();
+  const sim::RunMetrics m = sim::simulate(*wl, config);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::unsetenv("LAZYDRAM_SHARD");
+  EXPECT_TRUE(m.finished);
+  EXPECT_NE(err.find("LAZYDRAM_SHARD='0'"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -14,10 +14,10 @@
 //   diffcheck --policy frfcfs [--workloads A,B,C]
 //   diffcheck --shard N [...]
 //
-// `--shard N` runs the live simulation under the sharded driver (N worker
-// lanes; 1 = serial event wheel) instead of the legacy loop, diffing ITS
-// request timelines against the golden model — the differential proof that
-// sharding is an execution strategy, not a model change. Stream recording
+// `--shard N` runs the live simulation on N worker lanes of the event-wheel
+// driver (default 1, the serial wheel), diffing ITS request timelines
+// against the golden model — the differential proof that sharding is an
+// execution strategy, not a model change. Stream recording
 // pins every cycle (next_event defers to the recorder), so this exercises
 // the lane partitioning and barrier drain, not the idle skipping.
 //
@@ -113,8 +113,9 @@ int main(int argc, char** argv) {
   if (const std::string sh = arg_value(argc, argv, "--shard"); !sh.empty()) {
     char* end = nullptr;
     const unsigned long v = std::strtoul(sh.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v > 64) {
-      std::fprintf(stderr, "diffcheck: bad --shard '%s' (want 0..64)\n", sh.c_str());
+    if (end == nullptr || *end != '\0' || v < 1 || v > 64) {
+      std::fprintf(stderr, "diffcheck: bad --shard '%s' (want a lane count 1..64)\n",
+                   sh.c_str());
       return 2;
     }
     cfg.shard_threads = static_cast<unsigned>(v);
