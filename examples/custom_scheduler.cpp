@@ -23,6 +23,8 @@ using namespace lazydram;
 /// Toy policy: serve row hits first (like FR-FCFS); on a miss, pick the
 /// pending request whose row has the largest pending group — a greedy
 /// locality-maximizer that ignores age (and can starve old requests).
+/// It keeps the default SchedulerTraits (hit-first, memo-safe); a policy that
+/// breaks either passes e.g. Scheduler(SchedulerTraits{/*hit_first=*/false}).
 class DensestRowFirstScheduler final : public Scheduler {
  public:
   Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override {

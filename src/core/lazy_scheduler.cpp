@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
 #include "telemetry/hub.hpp"
 #include "telemetry/lifecycle.hpp"
 
@@ -13,7 +12,6 @@ LazyScheduler::LazyScheduler(const SchemeParams& params, const SchemeSpec& spec,
     : spec_(spec),
       dms_(params, spec.dms_dynamic, spec.dms_enabled ? spec.static_delay : 0),
       ams_(params, spec.ams_dynamic, spec.static_th_rbl),
-      draining_(num_banks, kInvalidRow),
       stalled_(num_banks, kNoStall),
       stall_begin_(num_banks, 0),
       stall_accounted_(num_banks, 0),
@@ -21,22 +19,6 @@ LazyScheduler::LazyScheduler(const SchemeParams& params, const SchemeSpec& spec,
 
 Decision LazyScheduler::decide(const PendingQueue& queue, const BankView& bank,
                                Cycle now) {
-  // 0. Drain an in-progress AMS row-group drop. A non-approximable request
-  //    arriving for the row mid-drain — a write OR a precise read — ends the
-  //    drain: the row will be activated for it anyway, so the remaining
-  //    reads are served normally. (Requiring only "all reads" here would
-  //    hand a precise read a predicted value; the protocol checker flags
-  //    that as kDropNotApproximable.)
-  if (draining_[bank.bank] != kInvalidRow) {
-    const RowId row = draining_[bank.bank];
-    const MemRequest* r = queue.oldest_for_row(bank.bank, row);
-    if (r != nullptr && queue.row_group_all_approximable(bank.bank, row))
-      return Decision::drop(r->id);
-    draining_[bank.bank] = kInvalidRow;
-    LD_ASSERT(draining_count_ > 0);
-    --draining_count_;
-  }
-
   // 1. Row-buffer hits are served immediately (never delayed). The
   //    delay-all ablation gates them like misses, and a gated hit is a DMS
   //    stall like any other — it must show up in the stall trace.
@@ -120,11 +102,6 @@ void LazyScheduler::advance_idle(Cycle from, Cycle to) {
   trace_now_ = to;
 }
 
-bool LazyScheduler::may_drop() const {
-  if (!spec_.ams_enabled) return false;
-  return draining_count_ > 0 || ams_.may_drop();
-}
-
 void LazyScheduler::on_enqueue(const MemRequest& req) {
   if (req.is_read()) ams_.on_read_received(req.tenant);
 }
@@ -137,16 +114,10 @@ void LazyScheduler::on_serve(const MemRequest& req) {
 }
 
 void LazyScheduler::on_drop(const MemRequest& req) {
-  // The drain branch of decide() drops without touching the stall state, so
-  // a stalled request swallowed by a row-group drop is closed out here.
+  // The controller's row-group drain drops without consulting decide(), so
+  // a stalled request swallowed by a drain is closed out here.
   if (stalled_[req.loc.bank] == req.id) trace_stall_end(req.loc.bank, trace_now_);
   ams_.on_drop(req.tenant);
-  if (draining_[req.loc.bank] == kInvalidRow) {
-    draining_[req.loc.bank] = req.loc.row;
-    ++draining_count_;
-  }
-  LD_ASSERT_MSG(draining_[req.loc.bank] == req.loc.row,
-                "a bank can only drain one row group at a time");
 }
 
 void LazyScheduler::set_ams_ready(bool ready) { ams_.set_ready(ready); }

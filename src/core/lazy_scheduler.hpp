@@ -4,15 +4,14 @@
 // seven schemes of Fig. 12.
 //
 // Decision order per bank:
-//   0. If an AMS row-group drop is draining for this bank, drop the group's
-//      next request (one per cycle, bypassing age/coverage: the group was
-//      admitted as a whole when its oldest member qualified).
 //   1. Row-buffer hit candidates are served immediately — DMS never delays
 //      hits ("each request that does not lead to a row hit is delayed").
 //   2. Otherwise the bank's oldest request is the candidate; it may proceed
 //      only once it has aged >= the DMS delay.
 //   3. An aged candidate is offered to the AMS unit; if all drop criteria
-//      hold, its whole pending row group starts draining to the VP unit.
+//      hold, it is dropped. That admits its whole pending row group: the
+//      MemoryController drains the rest to the VP unit one per cycle,
+//      bypassing age and coverage, without consulting this policy.
 //   4. Otherwise it is served (PRE/ACT as needed) per FR-FCFS.
 #pragma once
 
@@ -40,10 +39,7 @@ class LazyScheduler : public Scheduler {
   void tick(Cycle now, std::uint64_t bus_busy_total) override;
   Cycle next_tick_event(Cycle now) const override;
   void advance_idle(Cycle from, Cycle to) override;
-  bool may_drop() const override;
-  bool drops_possible() const override { return spec_.ams_enabled; }
-  bool bank_draining(BankId bank) const override { return draining_[bank] != kInvalidRow; }
-  bool draining() const override { return draining_count_ > 0; }
+  bool may_drop() const override { return spec_.ams_enabled && ams_.may_drop(); }
   void on_enqueue(const MemRequest& req) override;
   void on_serve(const MemRequest& req) override;
   void on_drop(const MemRequest& req) override;
@@ -114,12 +110,6 @@ class LazyScheduler : public Scheduler {
   /// Per-tenant DMS delay caps (kNeverCycle = uncapped); empty unless
   /// set_tenant_qos configured tenancy.
   std::vector<Cycle> delay_caps_;
-
-  /// Per-bank row currently being drained by an AMS group drop
-  /// (kInvalidRow if none). Cleared lazily from decide(), which is
-  /// idempotent and thus unobservable across repeated calls.
-  mutable std::vector<RowId> draining_;
-  mutable unsigned draining_count_ = 0;
 
   /// Bus cycles one 128B transaction occupies (tBURST); used to credit
   /// dropped requests in the Dyn-DMS BWUTIL comparison.

@@ -70,7 +70,7 @@ GpuTop::GpuTop(const GpuConfig& cfg, const workloads::Workload& workload,
     Partition& p = partitions_.emplace_back(cfg.l2);
     std::unique_ptr<Scheduler> sched = factory(ch);
     p.lazy = dynamic_cast<core::LazyScheduler*>(sched.get());
-    const bool hit_first = sched->hit_first();
+    const bool hit_first = sched->traits().hit_first;
     if (tracer_ != nullptr && p.lazy != nullptr) p.lazy->set_telemetry(tracer_, ch);
     if (lifecycle_ != nullptr && p.lazy != nullptr) p.lazy->set_lifecycle(lifecycle_);
     if (p.lazy != nullptr && !cfg_.scheme.tenant_qos.empty())

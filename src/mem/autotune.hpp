@@ -25,16 +25,10 @@ class AutotuneScheduler : public Scheduler {
   void fill_probe(telemetry::WindowProbe& probe) const override;
   void register_stats(telemetry::TelemetryHub& hub, const std::string& prefix) const override;
 
-  /// The only self-scheduled tick effect is the window-boundary adjustment.
+  /// The only self-scheduled tick effect is the window-boundary adjustment;
+  /// idle ticks before it are no-ops, so the default advance_idle() is exact.
   Cycle next_tick_event(Cycle now) const override {
     return window_end_ > now ? window_end_ : now + 1;
-  }
-
-  /// Idle ticks strictly before window_end_ return immediately; nothing to
-  /// reconstruct.
-  void advance_idle(Cycle from, Cycle to) override {
-    (void)from;
-    (void)to;
   }
 
   Cycle delay() const { return delay_; }

@@ -6,7 +6,10 @@
 namespace lazydram {
 
 BatchRrScheduler::BatchRrScheduler(const PolicyParams& p, unsigned num_banks)
-    : cap_(p.rr_cap), last_row_(num_banks, kInvalidRow), streak_(num_banks, 0) {
+    : Scheduler(SchedulerTraits{/*hit_first=*/false}),
+      cap_(p.rr_cap),
+      last_row_(num_banks, kInvalidRow),
+      streak_(num_banks, 0) {
   LD_ASSERT(cap_ > 0);
 }
 

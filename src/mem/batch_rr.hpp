@@ -17,14 +17,13 @@ namespace lazydram {
 
 class BatchRrScheduler : public Scheduler {
  public:
+  /// Not hit-first: the rotation rule deliberately closes a capped row with
+  /// hits pending.
   BatchRrScheduler(const PolicyParams& p, unsigned num_banks);
 
   Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override;
   void on_serve(const MemRequest& req) override;
   void register_stats(telemetry::TelemetryHub& hub, const std::string& prefix) const override;
-
-  /// The rotation rule deliberately closes a capped row with hits pending.
-  bool hit_first() const override { return false; }
 
   /// Batch state only moves on serves, never on idle ticks.
   Cycle next_tick_event(Cycle now) const override {

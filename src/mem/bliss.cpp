@@ -6,7 +6,8 @@
 namespace lazydram {
 
 BlissScheduler::BlissScheduler(const PolicyParams& p, unsigned num_sms)
-    : threshold_(p.bliss_threshold),
+    : Scheduler(SchedulerTraits{/*hit_first=*/false, /*memo_safe=*/false}),
+      threshold_(p.bliss_threshold),
       clear_interval_(p.bliss_clear_interval),
       blacklist_(num_sms, 0),
       next_clear_(p.bliss_clear_interval) {

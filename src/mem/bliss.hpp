@@ -24,6 +24,10 @@ namespace lazydram {
 
 class BlissScheduler : public Scheduler {
  public:
+  /// Traits: blacklist ranking deliberately closes rows that still hold
+  /// pending hits from a blacklisted SM (not hit-first), and a serve on any
+  /// bank can blacklist an SM and reorder every other bank's candidates, so
+  /// per-bank decide() memos are unsound (not memo-safe).
   BlissScheduler(const PolicyParams& p, unsigned num_sms);
 
   Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override;
@@ -31,24 +35,10 @@ class BlissScheduler : public Scheduler {
   void on_serve(const MemRequest& req) override;
   void register_stats(telemetry::TelemetryHub& hub, const std::string& prefix) const override;
 
-  /// Blacklist ranking deliberately closes rows that still hold pending hits
-  /// from a blacklisted SM.
-  bool hit_first() const override { return false; }
-
-  /// A serve on any bank can blacklist an SM and reorder every other bank's
-  /// candidates, so per-bank decide() memos are unsound for this policy.
-  bool decide_memo_safe() const override { return false; }
-
-  /// The only self-scheduled tick effect is the interval clear.
+  /// The only self-scheduled tick effect is the interval clear; idle ticks
+  /// before it are no-ops, so the default advance_idle() is exact.
   Cycle next_tick_event(Cycle now) const override {
     return next_clear_ > now ? next_clear_ : now + 1;
-  }
-
-  /// Idle ticks strictly before next_clear_ are no-ops (tick returns
-  /// immediately), so there is no per-tick state to reconstruct.
-  void advance_idle(Cycle from, Cycle to) override {
-    (void)from;
-    (void)to;
   }
 
   bool blacklisted(SmId sm) const { return blacklist_[sm]; }

@@ -24,14 +24,13 @@ MemoryController::MemoryController(const GpuConfig& cfg, ChannelId id,
       scheduler_(std::move(scheduler)),
       num_banks_(cfg.banks_per_channel),
       watts_per_nj_per_cycle_(static_cast<double>(cfg.mem_clock_mhz) * 1e-3),
+      drain_row_(cfg.banks_per_channel, kInvalidRow),
       bank_retry_at_(cfg.banks_per_channel, 0),
       bank_none_until_(cfg.banks_per_channel, 0),
       bank_acts_(cfg.banks_per_channel, 0),
       bank_cols_(cfg.banks_per_channel, 0),
       bank_drops_(cfg.banks_per_channel, 0) {
   LD_ASSERT(scheduler_ != nullptr);
-  drops_possible_ = scheduler_->drops_possible();
-  memo_safe_ = scheduler_->decide_memo_safe();
 }
 
 void MemoryController::enqueue(MemRequest req, Cycle now_mem) {
@@ -137,6 +136,30 @@ bool MemoryController::advance_request(const MemRequest& req, Cycle now,
   return true;
 }
 
+Decision MemoryController::decide(BankId b, Cycle now) {
+  // Continue an admitted row-group drop, one request per cycle and without
+  // the policy's age or coverage checks. A non-approximable request arriving
+  // for the row mid-drain (a write OR a precise read) ends the drain: the
+  // row will be activated for it anyway, so the remaining reads are served
+  // normally. (Requiring only "all reads" here would hand a precise read a
+  // predicted value; the protocol checker flags that as
+  // kDropNotApproximable.)
+  if (drain_row_[b] != kInvalidRow) {
+    const RowId row = drain_row_[b];
+    const MemRequest* r = queue_.oldest_for_row(b, row);
+    if (r != nullptr && queue_.row_group_all_approximable(b, row))
+      return Decision::drop(r->id);
+    drain_row_[b] = kInvalidRow;
+    --draining_banks_;
+  }
+  const dram::Bank& bank = dram_.bank(b);
+  const Decision d =
+      scheduler_->decide(queue_, BankView{b, bank.row_open(), bank.open_row()}, now);
+  LD_ASSERT_MSG(d.action != Decision::Action::kNone || d.req_id == kInvalidRequest,
+                "kNone decision carries a request id (use none()/gated())");
+  return d;
+}
+
 bool MemoryController::try_closed_row_precharge(BankId b, Cycle now) {
   const dram::Bank& bank = dram_.bank(b);
   if (!bank.row_open() || bank.open_row_accesses() == 0) return false;
@@ -164,16 +187,15 @@ void MemoryController::issue_one_command(Cycle now) {
     // Schedulability skips: an empty bank can yield no request command, so
     // decide() is not consulted (policies return kNone without side effects
     // for empty banks). A draining bank is NOT skipped even when empty:
-    // decide() retires exhausted drain state lazily, and deferring that
-    // retirement to the next drop pass would let a same-row arrival join a
-    // drain the unskipped path had already ended. A bank whose chosen
-    // command failed legality is skipped until its retry memo expires: the
-    // DRAM gates it is waiting on only move forward, so it provably cannot
-    // issue before then, and the memo is invalidated whenever its pending
-    // set changes. Only the closed-row ablation's idle precharge can still
-    // apply here.
+    // decide() retires the exhausted drain, and deferring that retirement to
+    // the next drop pass would let a same-row arrival join a drain this
+    // visit had already ended. A bank whose chosen command failed legality
+    // is skipped until its retry memo expires: the DRAM gates it is waiting
+    // on only move forward, so it provably cannot issue before then, and the
+    // memo is invalidated whenever its pending set changes. Only the
+    // closed-row ablation's idle precharge can still apply here.
     const bool empty = queue_.bank_size(b) == 0;
-    if (empty && !scheduler_->bank_draining(b)) {
+    if (empty && drain_row_[b] == kInvalidRow) {
       if (row_policy_ == RowPolicy::kClosedRow && try_closed_row_precharge(b, now))
         return;
       continue;
@@ -190,13 +212,9 @@ void MemoryController::issue_one_command(Cycle now) {
       }
     }
 
-    const dram::Bank& bank = dram_.bank(b);
-    const BankView view{b, bank.row_open(), bank.open_row()};
-
-    const Decision d = scheduler_->decide(queue_, view, now);
-    LD_ASSERT_MSG(d.action != Decision::Action::kNone || d.req_id == kInvalidRequest,
-                  "kNone decision carries a request id (use none()/gated())");
+    const Decision d = decide(b, now);
     if (d.action == Decision::Action::kServe) {
+      const dram::Bank& bank = dram_.bank(b);
       const MemRequest* req = queue_.find(d.req_id);
       LD_ASSERT_MSG(req != nullptr, "scheduler chose a request not in the queue");
       LD_ASSERT_MSG(req->loc.bank == b, "scheduler chose a request for another bank");
@@ -217,7 +235,7 @@ void MemoryController::issue_one_command(Cycle now) {
         rr_bank_ = b + 1 == num_banks_ ? 0 : b + 1;
         return;
       }
-      if (memo_safe_ && retry_at > now) {
+      if (scheduler_->traits().memo_safe && retry_at > now) {
         bank_retry_at_[b] = retry_at;
         min_wake = std::min(min_wake, retry_at);
       } else {
@@ -228,7 +246,8 @@ void MemoryController::issue_one_command(Cycle now) {
       continue;  // Command not legal this cycle; give other banks a chance.
     }
 
-    if (memo_safe_ && d.action == Decision::Action::kNone && d.none_until > now) {
+    if (scheduler_->traits().memo_safe && d.action == Decision::Action::kNone &&
+        d.none_until > now) {
       bank_none_until_[b] = d.none_until;
       min_wake = std::min(min_wake, d.none_until);
     } else {
@@ -287,10 +306,10 @@ void MemoryController::tick(Cycle now_mem) {
   // drop or advance, and under open-row policy no command to issue at all —
   // the whole per-bank machinery is skipped. The one empty-queue case with
   // drop-pass work is an active drain awaiting lazy retirement (the pass
-  // must keep visiting that bank), hence draining(), not may_drop(): budget
-  // headroom alone gives the pass nothing to visit.
-  const bool idle_cycle = queue_.empty() && !(drops_possible_ && scheduler_->draining()) &&
-                          row_policy_ == RowPolicy::kOpenRow;
+  // must keep visiting that bank), hence draining_banks_, not may_drop():
+  // budget headroom alone gives the pass nothing to visit.
+  const bool idle_cycle =
+      queue_.empty() && draining_banks_ == 0 && row_policy_ == RowPolicy::kOpenRow;
   if (!idle_cycle) {
     // At most one AMS drop per cycle ("dropped sequentially in the following
     // memory cycles", Section IV-C). Drops use the reply path, not the DRAM
@@ -304,29 +323,26 @@ void MemoryController::tick(Cycle now_mem) {
     // gate horizon — no decide() can reach the AMS admission check before
     // then, so its time-varying state (coverage, Th_RBL, halted) cannot
     // matter. Never set while a drain is active (a draining bank decides
-    // kDrop and clears the wake on execution) or after an early exit.
-    if (drops_possible_ && now_mem >= drop_wake_) {
+    // kDrop and clears the wake on execution) or after an early exit. For a
+    // policy that never drops, drops_live() is false, so the scan visits no
+    // bank and the wake stays 0.
+    if (now_mem >= drop_wake_) {
       bool all_gated = true;
       Cycle min_wake = kNeverCycle;
       bool dropped_one = false;
       unsigned i = 0;
-      for (; scheduler_->may_drop() && i < num_banks_; ++i) {
+      for (; drops_live() && i < num_banks_; ++i) {
         BankId b = drop_rr_bank_ + i;
         if (b >= num_banks_) b -= num_banks_;
-        if (queue_.bank_size(b) == 0 && !scheduler_->bank_draining(b))
+        if (queue_.bank_size(b) == 0 && drain_row_[b] == kInvalidRow)
           continue;  // Nothing to drop and no drain state to retire.
         if (row_policy_ == RowPolicy::kOpenRow && now_mem < bank_none_until_[b]) {
           min_wake = std::min(min_wake, bank_none_until_[b]);
           continue;  // Age-gated: decide() is provably still kNone.
         }
-        const dram::Bank& bank = dram_.bank(b);
-        const BankView view{b, bank.row_open(), bank.open_row()};
-        const Decision d = scheduler_->decide(queue_, view, now_mem);
-        LD_ASSERT_MSG(
-            d.action != Decision::Action::kNone || d.req_id == kInvalidRequest,
-            "kNone decision carries a request id (use none()/gated())");
+        const Decision d = decide(b, now_mem);
         if (d.action != Decision::Action::kDrop) {
-          if (memo_safe_ && d.action == Decision::Action::kNone &&
+          if (scheduler_->traits().memo_safe && d.action == Decision::Action::kNone &&
               d.none_until > now_mem) {
             bank_none_until_[b] = d.none_until;
             min_wake = std::min(min_wake, d.none_until);
@@ -353,6 +369,13 @@ void MemoryController::tick(Cycle now_mem) {
         if (dropped.tenant < tenant_reads_dropped_.size())
           ++tenant_reads_dropped_[dropped.tenant];
         scheduler_->on_drop(dropped);
+        // The drop admits its whole row group: arm (or continue) the drain.
+        if (drain_row_[b] == kInvalidRow) {
+          drain_row_[b] = dropped.loc.row;
+          ++draining_banks_;
+        }
+        LD_ASSERT_MSG(drain_row_[b] == dropped.loc.row,
+                      "a bank can only drain one row group at a time");
         // After on_drop so the scheduler's stall closeout reaches the
         // collector before the record finalizes.
         if (lifecycle_ != nullptr) lifecycle_->on_drop(dropped.id, now_mem);
@@ -393,19 +416,18 @@ Cycle MemoryController::next_event(Cycle now) const {
   if (checker_ != nullptr) ev = std::min(ev, checker_->next_tick_event(queue_, now));
   if (sampler_ != nullptr) ev = std::min(ev, sampler_->next_boundary());
 
-  const bool may_drop = drops_possible_ && scheduler_->may_drop();
   if (queue_.empty()) {
     // The idle short-circuit skips both passes — unless a drain awaiting
-    // lazy retirement keeps the drop pass visiting its bank (every visit
-    // mutates scheduler state, so those cycles are not no-ops). Budget
-    // headroom alone (may_drop() on an empty queue) gives the pass nothing
-    // to visit and stays skippable.
-    if (drops_possible_ && scheduler_->draining()) return now + 1;
+    // lazy retirement keeps the drop pass visiting its bank (the visit
+    // retires the drain, so that cycle is not a no-op). Budget headroom
+    // alone (may_drop() on an empty queue) gives the pass nothing to visit
+    // and stays skippable.
+    if (draining_banks_ > 0) return now + 1;
   } else {
     // The command pass is parked until cmd_wake_ (and the drop pass until
     // drop_wake_); a wake at or before `now` means the pass runs next cycle.
     ev = std::min(ev, cmd_wake_ > now ? cmd_wake_ : now + 1);
-    if (may_drop) ev = std::min(ev, drop_wake_ > now ? drop_wake_ : now + 1);
+    if (drops_live()) ev = std::min(ev, drop_wake_ > now ? drop_wake_ : now + 1);
   }
   return ev > now ? ev : now + 1;
 }
@@ -426,8 +448,7 @@ Cycle MemoryController::next_cross_event(Cycle now) const {
     const DramTiming& t = dram_.timing();
     const Cycle cas = cmd_wake_ > now ? cmd_wake_ : now + 1;
     ev = std::min(ev, cas + t.tCL + t.tBURST);
-    if (drops_possible_ && scheduler_->may_drop())
-      ev = std::min(ev, drop_wake_ > now ? drop_wake_ : now + 1);
+    if (drops_live()) ev = std::min(ev, drop_wake_ > now ? drop_wake_ : now + 1);
   }
   return ev > now ? ev : now + 1;
 }

@@ -3,7 +3,8 @@
 // Each memory cycle the controller
 //   1. retires finished bursts into the reply queue,
 //   2. lets the scheduler observe the cycle (profiling windows),
-//   3. executes at most one AMS drop (requests removed without DRAM service),
+//   3. executes at most one AMS drop (requests removed without DRAM service;
+//      a policy's drop admits a row group, whose rest the controller drains),
 //   4. issues at most one DRAM command (shared command bus), chosen by asking
 //      the scheduler, bank by bank in round-robin order, which request to
 //      advance, and stepping that request through PRE -> ACT -> RD/WR.
@@ -65,7 +66,7 @@ class MemoryController {
   /// in (now, next_event(now)) are provable no-ops except for per-tick
   /// bookkeeping that advance_idle() replays exactly. Returns now + 1
   /// whenever no cheap proof applies (closed-row ablation, an attached
-  /// recorder, a pending drain, ...): the conservative answer is
+  /// recorder, an active drain, ...): the conservative answer is
   /// always sound, it just disables skipping.
   Cycle next_event(Cycle now) const;
 
@@ -187,6 +188,16 @@ class MemoryController {
   /// receives a lower bound on the cycle the blocked command could issue.
   bool advance_request(const MemRequest& req, Cycle now, Cycle* retry_at = nullptr);
 
+  /// The decision for bank `b` at `now`, shared by the drop and command
+  /// passes. While the bank's drain row group is all-approximable, the next
+  /// drop of its oldest request; otherwise the drain (if any) retires and
+  /// the policy decides.
+  Decision decide(BankId b, Cycle now);
+
+  /// True while the drop pass can find work: an active drain, or a policy
+  /// that may admit a fresh drop.
+  bool drops_live() const { return draining_banks_ > 0 || scheduler_->may_drop(); }
+
   void complete_bursts(Cycle now);
   void issue_one_command(Cycle now);
 
@@ -223,14 +234,13 @@ class MemoryController {
   Cycle end_mem_ = 0;
   /// nJ-per-cycle -> watts conversion (mem_clock_mhz * 1e-3).
   double watts_per_nj_per_cycle_;
-  /// Cached Scheduler::drops_possible(): non-AMS schemes never run the drop
-  /// pass, not even the may_drop() poll.
-  bool drops_possible_;
-  /// Cached Scheduler::decide_memo_safe(): policies with cross-bank coupling
-  /// (BLISS) run with the per-bank retry/none_until memos disabled — only
-  /// the unconditionally safe skips (empty-bank skip, idle short-circuit)
-  /// remain for them.
-  bool memo_safe_;
+  /// Per-bank row whose AMS row group is draining (kInvalidRow if none).
+  /// Armed by an executed drop, retired lazily by decide() on the bank's next
+  /// visit once the group empties or gains a non-approximable request.
+  std::vector<RowId> drain_row_;
+  /// Banks with an active drain. While nonzero, even an empty queue leaves
+  /// the drop pass work: retiring the drain.
+  unsigned draining_banks_ = 0;
   /// Per-bank retry memo: the command pass skips a bank until this cycle
   /// after its chosen command failed legality (earliest_issue lower bound).
   /// Invalidated (set to 0) whenever the bank's pending set changes —

@@ -10,10 +10,10 @@ namespace lazydram {
 
 class FcfsScheduler : public Scheduler {
  public:
-  Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override;
-
   /// Strict age order closes an open row even while hits for it pend.
-  bool hit_first() const override { return false; }
+  FcfsScheduler() : Scheduler(SchedulerTraits{/*hit_first=*/false}) {}
+
+  Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override;
 
   /// Stateless per tick: an idle channel never changes a future decision.
   Cycle next_tick_event(Cycle now) const override {

@@ -52,62 +52,49 @@ struct Decision {
   static Decision drop(RequestId id) { return {Action::kDrop, id}; }
 };
 
+/// Static capabilities of a policy, fixed at construction and read back
+/// through Scheduler::traits(): a policy cannot change them over its
+/// lifetime. The controller's memos and the strict checker's hit-first rule
+/// rely on that.
+struct SchedulerTraits {
+  /// True iff the policy never issues a PRE on a bank that still holds
+  /// pending row hits for the open row. The strict protocol checker enforces
+  /// hit-first ordering only when this holds; policies that deliberately
+  /// close rows with hits outstanding (FCFS's strict age order, BLISS's
+  /// blacklist ranking, batch-cap RR's rotation) set it false.
+  bool hit_first = true;
+  /// True iff a decide(queue, bank, now) answer can only change when that
+  /// bank's pending set changes, the policy's delay knobs change, or its
+  /// none_until horizon expires. The controller's retry/none_until memo
+  /// layer is sound exactly under that assumption; policies with cross-bank
+  /// coupling (BLISS: a serve on bank A can blacklist an SM and reorder bank
+  /// B's candidates) set it false and run with memos disabled.
+  bool memo_safe = true;
+};
+
 class Scheduler {
  public:
+  explicit Scheduler(SchedulerTraits traits = {}) : traits_(traits) {}
   virtual ~Scheduler() = default;
+
+  const SchedulerTraits& traits() const { return traits_; }
 
   /// Policy decision for `bank` at memory cycle `now`. Must be free of
   /// observable side effects: the controller may call it more than once per
   /// cycle per bank (once in the drop pass, once in the command pass) — and,
-  /// symmetrically, may not call it at all for a bank with no pending work
-  /// and no draining drop, so a policy must not rely on decide() running
-  /// every cycle for every bank.
+  /// symmetrically, may not call it at all for a bank with no pending work,
+  /// so a policy must not rely on decide() running every cycle for every
+  /// bank. A kDrop answer admits the victim's whole row group: the
+  /// controller drops the group's remaining members one per cycle without
+  /// asking the policy again, until the group empties or gains a
+  /// non-approximable request.
   virtual Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) = 0;
 
-  /// Cheap pre-check: can this policy ever answer kDrop right now? The
-  /// controller skips the per-bank drop pass entirely when false, keeping
-  /// the non-AMS schemes on the fast path.
+  /// Cheap pre-check: can this policy answer kDrop right now? The controller
+  /// runs its drop pass only while this holds or a row-group drain is
+  /// active; policies that never drop keep the default and never pay for
+  /// the pass.
   virtual bool may_drop() const { return false; }
-
-  /// Static capability: can this policy ever answer kDrop at all? Must be
-  /// constant over the scheduler's lifetime (a configuration fact, not a
-  /// state query — may_drop() answers the per-cycle question). The
-  /// controller caches it once and never even polls may_drop() when false.
-  virtual bool drops_possible() const { return false; }
-
-  /// Row-hit-first capability: true iff the policy never issues a PRE on a
-  /// bank that still holds pending row hits for the open row. The strict
-  /// protocol checker enforces hit-first ordering only when this holds;
-  /// policies that deliberately close rows with hits outstanding (FCFS's
-  /// strict age order, BLISS's blacklist ranking, batch-cap RR's rotation)
-  /// return false. Constant over the scheduler's lifetime.
-  virtual bool hit_first() const { return true; }
-
-  /// Memoization capability: true iff a decide(queue, bank, now) answer can
-  /// only change when that bank's pending set changes, the policy's delay
-  /// knobs change, or its none_until horizon expires. The controller's
-  /// retry/none_until memo layer is sound exactly under that assumption;
-  /// policies with cross-bank coupling (BLISS: a serve on bank A can
-  /// blacklist an SM and reorder bank B's candidates) return false and run
-  /// with memos disabled. Constant over the scheduler's lifetime.
-  virtual bool decide_memo_safe() const { return true; }
-
-  /// True iff an AMS row-group drop is draining on `bank`. The controller's
-  /// drop pass must keep visiting a draining bank even when its pending
-  /// queue ran dry, so the policy can retire the drain state; banks that are
-  /// neither draining nor holding pending work are skipped.
-  virtual bool bank_draining(BankId bank) const {
-    (void)bank;
-    return false;
-  }
-
-  /// True iff any bank has an active drain awaiting lazy retirement. This is
-  /// the only condition under which the drop pass has work with an *empty*
-  /// pending queue: may_drop() also answers true on mere budget headroom
-  /// (coverage below cap), but with nothing queued and nothing draining the
-  /// pass provably visits no bank and mutates nothing — the controller's
-  /// idle short-circuit and next_event() horizon key off this instead.
-  virtual bool draining() const { return false; }
 
   /// Called once per memory cycle before any decide(); `bus_busy_total` is
   /// the channel's cumulative data-bus busy cycle count (BWUTIL numerator).
@@ -174,6 +161,9 @@ class Scheduler {
     (void)end;
     (void)cum;
   }
+
+ private:
+  SchedulerTraits traits_;
 };
 
 }  // namespace lazydram

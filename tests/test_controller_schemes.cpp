@@ -1,6 +1,7 @@
 // Controller-level integration of the lazy schemes: DMS gating observed at
-// the command engine, AMS drops flowing through the reply path, closed-row
-// ablation behaviour and reply ordering.
+// the command engine, AMS drops flowing through the reply path, the
+// controller-owned row-group drain, closed-row ablation behaviour and reply
+// ordering.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -121,11 +122,113 @@ TEST_F(SchemeControllerTest, AmsNotReadyServesEverything) {
 
 TEST_F(SchemeControllerTest, AmsDropsWholeGroupOnePerCycle) {
   auto mc = make(core::make_scheme_spec(core::SchemeKind::kStaticAms, cfg_.scheme));
-  // Th_RBL = 8: a 3-request group qualifies and drains fully.
+  CaptureSink sink;
+  telemetry::Tracer tracer;
+  tracer.set_sink(&sink);
+  mc->set_tracer(&tracer);
+  // Th_RBL = 8: a 3-request group qualifies and drains fully. The row-10
+  // request on the same bank is outside the group: after the first drop
+  // coverage is far above the 10% cap, so only the drain could drop it.
   for (std::uint32_t c = 0; c < 3; ++c) mc->enqueue(read_at(3, 9, c), now_);
+  mc->enqueue(read_at(3, 10, 0), now_);
   drain(*mc, 500);
   EXPECT_EQ(mc->reads_dropped(), 3u);
+  EXPECT_EQ(mc->reads_served(), 1u);
+  EXPECT_EQ(mc->channel().activations(), 1u);  // Row 10 only.
+
+  std::vector<Cycle> drop_cycles;
+  for (const telemetry::TraceEvent& e : sink.events) {
+    if (e.kind != telemetry::EventKind::kRowGroupDrop) continue;
+    EXPECT_EQ(e.a, 9u);  // Every drop belongs to the admitted row group.
+    drop_cycles.push_back(e.cycle);
+  }
+  const std::vector<Cycle> one_per_cycle{0, 1, 2};
+  EXPECT_EQ(drop_cycles, one_per_cycle);
+}
+
+TEST_F(SchemeControllerTest, DrainDropsWholeRowGroupThenStops) {
+  // With the coverage cap lifted, the row-6 request on the same bank is a
+  // fresh AMS candidate of its own. The row-5 drain must drop its whole
+  // group first and then retire, so row 6 is admitted afresh as a new group
+  // rather than being swallowed by (or blocked behind) the row-5 drain.
+  cfg_.scheme.coverage_cap = 1.0;
+  auto mc = make(core::make_scheme_spec(core::SchemeKind::kStaticAms, cfg_.scheme));
+  CaptureSink sink;
+  telemetry::Tracer tracer;
+  tracer.set_sink(&sink);
+  mc->set_tracer(&tracer);
+  for (std::uint32_t c = 0; c < 3; ++c) mc->enqueue(read_at(0, 5, c), now_);
+  mc->enqueue(read_at(0, 6, 0), now_);
+  drain(*mc, 500);
+  EXPECT_EQ(mc->reads_dropped(), 4u);
   EXPECT_EQ(mc->channel().activations(), 0u);
+
+  std::vector<RowId> drop_rows;
+  for (const telemetry::TraceEvent& e : sink.events) {
+    if (e.kind == telemetry::EventKind::kRowGroupDrop)
+      drop_rows.push_back(static_cast<RowId>(e.a));
+  }
+  const std::vector<RowId> group_then_next{5, 5, 5, 6};
+  EXPECT_EQ(drop_rows, group_then_next);
+}
+
+TEST_F(SchemeControllerTest, PreciseReadArrivingMidDrainEndsTheDrain) {
+  auto mc = make(core::make_scheme_spec(core::SchemeKind::kStaticAms, cfg_.scheme));
+  mc->enqueue(read_at(0, 5, 0), now_);
+  mc->enqueue(read_at(0, 5, 1), now_);
+  drain(*mc, 1);
+  ASSERT_EQ(mc->reads_dropped(), 1u);  // The group was admitted.
+
+  // A precise read for the draining row arrives: dropping it would hand a
+  // precise read a predicted value. The drain must end, and the remaining
+  // approximable read is served from DRAM alongside it.
+  mc->enqueue(read_at(0, 5, 2, /*approx=*/false), now_);
+  unsigned approx = 0;
+  drain(*mc, 500, &approx);
+  EXPECT_EQ(mc->reads_dropped(), 1u);
+  EXPECT_EQ(approx, 0u);
+  EXPECT_EQ(mc->reads_served(), 2u);
+  EXPECT_EQ(mc->channel().activations(), 1u);
+}
+
+TEST_F(SchemeControllerTest, ApproximableArrivalJoinsTheDrain) {
+  // DMS(200) + AMS(8): the group is admitted once its oldest member ages 200
+  // cycles; a same-row approximable arrival then joins the drain at once,
+  // with no aging of its own and no fresh coverage check.
+  auto mc = make(core::make_combo_spec(200, 8, cfg_.scheme));
+  mc->enqueue(read_at(0, 5, 0), now_);
+  mc->enqueue(read_at(0, 5, 1), now_);
+  while (mc->reads_dropped() == 0 && now_ < 500) drain(*mc, now_ + 1);
+  ASSERT_EQ(mc->reads_dropped(), 1u);
+  const Cycle admitted = now_ - 1;
+  EXPECT_EQ(admitted, 200u);
+
+  mc->enqueue(read_at(0, 5, 2), now_);
+  drain(*mc, admitted + 3);
+  EXPECT_EQ(mc->reads_dropped(), 3u);  // Dropped at admitted + 1 and + 2.
+  EXPECT_EQ(mc->channel().activations(), 0u);
+}
+
+TEST_F(SchemeControllerTest, EmptiedDrainRetiresBeforeALaterArrival) {
+  // Regression: a drain whose group just emptied must retire on the bank's
+  // next visit, even though the bank's queue is empty (the command pass may
+  // not skip it). A same-row approximable read arriving one cycle later is
+  // then a fresh candidate: DMS ages it 200 cycles and, with coverage at
+  // 2/3, AMS refuses it. Had the stale drain survived, it would swallow the
+  // arrival on the very next cycle.
+  auto mc = make(core::make_combo_spec(200, 8, cfg_.scheme));
+  mc->enqueue(read_at(0, 5, 0), now_);
+  mc->enqueue(read_at(0, 5, 1), now_);
+  while (mc->reads_dropped() < 2 && now_ < 500) drain(*mc, now_ + 1);
+  ASSERT_EQ(mc->reads_dropped(), 2u);
+  ASSERT_EQ(mc->queue().size(), 0u);
+
+  mc->enqueue(read_at(0, 5, 2), now_);
+  drain(*mc, now_ + 150);
+  EXPECT_EQ(mc->reads_dropped(), 2u);
+  drain(*mc, now_ + 500);
+  EXPECT_EQ(mc->reads_dropped(), 2u);
+  EXPECT_EQ(mc->reads_served(), 1u);
 }
 
 TEST_F(SchemeControllerTest, AmsLeavesLargeGroupsToDram) {

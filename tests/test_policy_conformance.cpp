@@ -8,17 +8,19 @@
 //     identical notification stream but double-called must never diverge
 //     from the single-called primary;
 //   * kNone answers carry the kInvalidRequest sentinel, never a live id;
-//   * an empty, non-draining bank answers kNone without side effects (the
-//     controller skips decide() for it, so the mirror asks and the primary
-//     does not);
-//   * none_until horizons are sound for decide_memo_safe() policies: the
+//   * an empty bank answers kNone without side effects (the controller
+//     skips decide() for it, so the mirror asks and the primary does not);
+//   * none_until horizons are sound for traits().memo_safe policies: the
 //     answer stays kNone until the horizon unless the bank's pending set or
 //     the policy's delay/threshold knobs change;
-//   * may_drop()/drops_possible() are consistent with actual kDrop answers;
-//   * bank_draining() banks retire their drains (liveness), and the whole
-//     stream drains — the batch-cap RR PRE/ACT livelock regression lives
-//     here;
+//   * may_drop() is consistent with actual kDrop answers;
+//   * the whole stream drains (liveness) — the batch-cap RR PRE/ACT
+//     livelock regression lives here;
 //   * the same seed reproduces the same decision log (determinism).
+//
+// The harness plays the policy side only: a kDrop here is one admission, and
+// the controller's row-group drain that follows it is tested with the
+// controller (test_controller_schemes.cpp).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -104,10 +106,9 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
   const auto log = [&](std::uint64_t v) {
     log_hash = (log_hash ^ v) * 1099511628211ull;
   };
-  const bool memo_safe = primary->decide_memo_safe();
-  EXPECT_EQ(memo_safe, mirror->decide_memo_safe());
-  EXPECT_EQ(primary->hit_first(), mirror->hit_first());
-  EXPECT_EQ(primary->drops_possible(), mirror->drops_possible());
+  const bool memo_safe = primary->traits().memo_safe;
+  EXPECT_EQ(memo_safe, mirror->traits().memo_safe);
+  EXPECT_EQ(primary->traits().hit_first, mirror->traits().hit_first);
 
   bool drained = false;
   for (Cycle now = 0; now < kMaxCycles; ++now) {
@@ -147,19 +148,14 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
     }
 
     EXPECT_EQ(primary->may_drop(), mirror->may_drop()) << pc.name;
-    if (primary->may_drop()) {
-      EXPECT_TRUE(primary->drops_possible()) << pc.name;
-    }
 
     for (BankId b = 0; b < kBanks; ++b) {
       if (busy_until[b] > now) continue;  // Command engine busy: no decide.
-      const bool draining = primary->bank_draining(b);
-      EXPECT_EQ(draining, mirror->bank_draining(b)) << pc.name;
-      // The controller skips banks with neither pending work nor a drain
-      // without consulting decide(), under either row policy. That is only
-      // sound if decide() there is a side-effect-free kNone: ask the mirror,
-      // so any side effect shows up as a primary-vs-mirror divergence.
-      if (queue.bank_size(b) == 0 && !draining) {
+      // The controller never asks the policy about a bank without pending
+      // work, under either row policy. That is only sound if decide() there
+      // is a side-effect-free kNone: ask the mirror, so any side effect shows
+      // up as a primary-vs-mirror divergence.
+      if (queue.bank_size(b) == 0) {
         const Decision skipped = mirror->decide(queue, banks[b], now);
         EXPECT_EQ(skipped.action, Decision::Action::kNone)
             << pc.name << ": empty bank " << static_cast<int>(b) << " at cycle " << now;
@@ -209,7 +205,6 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
         }
         case Decision::Action::kDrop: {
           EXPECT_TRUE(primary->may_drop()) << pc.name;
-          EXPECT_TRUE(primary->drops_possible()) << pc.name;
           const MemRequest* found = queue.find(d.req_id);
           EXPECT_NE(found, nullptr) << pc.name << ": dropped unknown id " << d.req_id;
           if (found == nullptr) return log_hash;
@@ -229,17 +224,13 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
     }
 
     if (now >= kStreamCycles && queue.empty()) {
-      bool any_draining = false;
-      for (BankId b = 0; b < kBanks; ++b) any_draining |= primary->bank_draining(b);
-      if (!any_draining) {
-        drained = true;
-        break;
-      }
+      drained = true;
+      break;
     }
   }
   // Liveness: every policy must drain the stream well before the bound —
   // batch-cap RR's rotation must not PRE/ACT-livelock a closed capped row,
-  // DMS gates must expire, AMS drains must retire their banks.
+  // and DMS gates must expire.
   EXPECT_TRUE(drained) << pc.name << ": stream failed to drain (livelock?)";
   EXPECT_TRUE(queue.empty()) << pc.name;
   return log_hash;

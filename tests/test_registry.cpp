@@ -57,8 +57,8 @@ TEST(SchedulerRegistry, LabelsMatchReportConventions) {
   EXPECT_EQ(core::policy_name(GpuConfig{}), "lazy");
 }
 
-// The capability flags the controller caches at construction are what make
-// the fast paths sound per policy; pin them per built-in.
+// The static traits are what make the controller's memos and the checker's
+// hit-first rule sound per policy; pin them per built-in.
 TEST(SchedulerRegistry, ConstructedSchedulersReportExpectedCapabilities) {
   const core::SchemeSpec base;
   struct Expect {
@@ -71,9 +71,9 @@ TEST(SchedulerRegistry, ConstructedSchedulersReportExpectedCapabilities) {
                           Expect{"autotune", true, true}, Expect{"lazy", true, true}}) {
     const std::unique_ptr<Scheduler> s = core::make_scheduler(cfg_for(e.name), base);
     ASSERT_NE(s, nullptr) << e.name;
-    EXPECT_EQ(s->hit_first(), e.hit_first) << e.name;
-    EXPECT_EQ(s->decide_memo_safe(), e.memo_safe) << e.name;
-    EXPECT_FALSE(s->drops_possible()) << e.name;  // Only lazy+AMS can drop.
+    EXPECT_EQ(s->traits().hit_first, e.hit_first) << e.name;
+    EXPECT_EQ(s->traits().memo_safe, e.memo_safe) << e.name;
+    EXPECT_FALSE(s->may_drop()) << e.name;  // Only lazy+AMS can drop.
   }
   // Lazy resolves to the LazyScheduler (scheme configured by the spec).
   const std::unique_ptr<Scheduler> lazy = core::make_scheduler(GpuConfig{}, base);

@@ -1,6 +1,7 @@
 // Scheduler policy tests: FR-FCFS ordering, FCFS ordering, the lazy
-// scheduler's DMS gate, AMS criteria and row-group drain behaviour, and the
-// Dyn-DMS search edge cases the scheduler's age gate depends on.
+// scheduler's DMS gate and AMS admission criteria, and the Dyn-DMS search
+// edge cases the scheduler's age gate depends on. The row-group drain that
+// follows an admission belongs to the controller (test_controller_schemes).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -305,75 +306,6 @@ TEST_F(SchedulerTest, AmsRefusesNonApproximableReads) {
   lazy.on_enqueue(push(1, 0, 5, 0, AccessKind::kRead, /*approx=*/false));
   EXPECT_EQ(lazy.decide(queue_, BankView{0, false, kInvalidRow}, 100).action,
             Decision::Action::kServe);
-}
-
-TEST_F(SchedulerTest, DrainDropsWholeRowGroupThenStops) {
-  core::SchemeSpec spec = core::make_scheme_spec(core::SchemeKind::kStaticAms, cfg_.scheme);
-  core::LazyScheduler lazy = make_lazy(spec);
-  lazy.set_ams_ready(true);
-  for (RequestId i = 1; i <= 3; ++i) lazy.on_enqueue(push(i, 0, 5, i - 1));
-  lazy.on_enqueue(push(4, 0, 6, 0));
-
-  // First drop admits the group; on_drop arms the drain.
-  Decision d = lazy.decide(queue_, BankView{0, false, kInvalidRow}, 100);
-  ASSERT_EQ(d.action, Decision::Action::kDrop);
-  lazy.on_drop(queue_.erase(d.req_id));
-
-  // Remaining group members drain regardless of age.
-  d = lazy.decide(queue_, BankView{0, false, kInvalidRow}, 101);
-  ASSERT_EQ(d.action, Decision::Action::kDrop);
-  EXPECT_EQ(queue_.find(d.req_id)->loc.row, 5u);
-  lazy.on_drop(queue_.erase(d.req_id));
-  d = lazy.decide(queue_, BankView{0, false, kInvalidRow}, 102);
-  ASSERT_EQ(d.action, Decision::Action::kDrop);
-  lazy.on_drop(queue_.erase(d.req_id));
-
-  // Group exhausted: the row-6 request is next and may be dropped afresh or
-  // served, but the drain for row 5 must be finished.
-  d = lazy.decide(queue_, BankView{0, false, kInvalidRow}, 103);
-  EXPECT_NE(queue_.find(d.req_id), nullptr);
-  EXPECT_EQ(queue_.find(d.req_id)->loc.row, 6u);
-}
-
-TEST_F(SchedulerTest, PreciseReadArrivingMidDrainEndsTheDrain) {
-  core::SchemeSpec spec = core::make_scheme_spec(core::SchemeKind::kStaticAms, cfg_.scheme);
-  core::LazyScheduler lazy = make_lazy(spec);
-  lazy.set_ams_ready(true);
-  lazy.on_enqueue(push(1, 0, 5, 0));
-  lazy.on_enqueue(push(2, 0, 5, 1));
-  const Decision first = lazy.decide(queue_, BankView{0, false, kInvalidRow}, 100);
-  ASSERT_EQ(first.action, Decision::Action::kDrop);
-  lazy.on_drop(queue_.erase(first.req_id));
-
-  // A precise (non-approximable) read for the draining row arrives: dropping
-  // it would hand a precise read a predicted value. The drain must end and
-  // the remaining approximable reads are served normally alongside it.
-  lazy.on_enqueue(push(3, 0, 5, 2, AccessKind::kRead, /*approx=*/false));
-  const Decision next = lazy.decide(queue_, BankView{0, false, kInvalidRow}, 101);
-  EXPECT_EQ(next.action, Decision::Action::kServe);
-  EXPECT_EQ(next.req_id, 2u);
-}
-
-TEST_F(SchedulerTest, ApproximableArrivalJoinsTheDrain) {
-  core::SchemeSpec spec = core::make_scheme_spec(core::SchemeKind::kStaticAms, cfg_.scheme);
-  core::LazyScheduler lazy = make_lazy(spec);
-  lazy.set_ams_ready(true);
-  lazy.on_enqueue(push(1, 0, 5, 0));
-  lazy.on_enqueue(push(2, 0, 5, 1));
-  const Decision first = lazy.decide(queue_, BankView{0, false, kInvalidRow}, 100);
-  ASSERT_EQ(first.action, Decision::Action::kDrop);
-  lazy.on_drop(queue_.erase(first.req_id));
-
-  // An approximable read arriving for the still-draining row joins the
-  // admitted group and drains with it (no fresh age/coverage gating).
-  lazy.on_enqueue(push(3, 0, 5, 2));
-  Decision d = lazy.decide(queue_, BankView{0, false, kInvalidRow}, 101);
-  ASSERT_EQ(d.action, Decision::Action::kDrop);
-  EXPECT_EQ(d.req_id, 2u);
-  lazy.on_drop(queue_.erase(d.req_id));
-  d = lazy.decide(queue_, BankView{0, false, kInvalidRow}, 102);
-  ASSERT_EQ(d.action, Decision::Action::kDrop);
-  EXPECT_EQ(d.req_id, 3u);
 }
 
 TEST_F(SchedulerTest, CoverageCapStopsFreshDrops) {
