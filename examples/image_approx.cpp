@@ -30,13 +30,9 @@ int main(int argc, char** argv) {
   }
 
   // Exact pass (pristine inputs) and approximate pass (VP overlay applied).
-  gpu::MemoryImage exact_img(top.fmem().image());
-  gpu::MemView exact(exact_img, nullptr);
-  workload->compute_output(exact);
-
-  gpu::MemoryImage approx_img(top.fmem().image());
-  gpu::MemView approx(approx_img, &top.fmem().overlay());
-  workload->compute_output(approx);
+  const workloads::FunctionalPasses passes(*workload, top.fmem());
+  const gpu::MemView& exact = passes.exact();
+  const gpu::MemView& approx = passes.approx();
 
   const std::string exact_path = dir + "/laplacian_exact.pgm";
   const std::string approx_path = dir + "/laplacian_approx.pgm";

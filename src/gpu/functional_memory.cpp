@@ -2,25 +2,88 @@
 
 namespace lazydram::gpu {
 
-MemoryImage::MemoryImage(const MemoryImage& other) {
+void ApproxOverlay::record(Addr line_addr, const std::uint8_t* bytes) {
+  LD_ASSERT(line_addr % kLineBytes == 0);
+  auto [it, inserted] = lines_.try_emplace(line_addr);
+  if (!inserted) return;  // First prediction wins.
+  std::memcpy(it->second.data(), bytes, kLineBytes);
+  page_masks_[line_addr / kPageBytes] |= std::uint32_t{1}
+                                         << (line_addr % kPageBytes / kLineBytes);
+}
+
+const ApproxOverlay::Line* ApproxOverlay::find(Addr line_addr) const {
+  const auto it = lines_.find(line_addr);
+  return it == lines_.end() ? nullptr : &it->second;
+}
+
+std::uint32_t ApproxOverlay::page_mask(Addr page) const {
+  const auto it = page_masks_.find(page);
+  return it == page_masks_.end() ? 0 : it->second;
+}
+
+MemoryImage::MemoryImage(const MemoryImage& other) : base_(other.base_) {
   pages_.reserve(other.pages_.size());
   for (const auto& [base, page] : other.pages_)
     pages_.emplace(base, std::make_unique<Page>(*page));
 }
 
+MemoryImage::MemoryImage(MemoryImage&& other) noexcept
+    : pages_(std::move(other.pages_)), base_(other.base_) {
+  other.pages_.clear();
+  other.flush_slots();
+}
+
+MemoryImage MemoryImage::copy_on_write(const MemoryImage& base) {
+  MemoryImage child;
+  child.base_ = &base;
+  return child;
+}
+
 const MemoryImage::Page* MemoryImage::page_of(Addr addr) const {
   const auto it = pages_.find(addr & ~static_cast<Addr>(kPageBytes - 1));
-  return it == pages_.end() ? nullptr : it->second.get();
+  if (it != pages_.end()) return it->second.get();
+  return base_ == nullptr ? nullptr : base_->page_of(addr);
+}
+
+MemoryImage::Slot& MemoryImage::slot(Addr addr) {
+  const Addr page = addr / kPageBytes;
+  // Fibonacci hashing: arrays start on MiB boundaries, so their page numbers
+  // share their low bits; the product's top bits spread them.
+  Slot& s = slots_[(page * 0x9e3779b97f4a7c15ULL) >> (64 - kSlotBits)];
+  if (s.page != page) {
+    const auto it = pages_.find(page * kPageBytes);
+    s.page = page;
+    s.own = it == pages_.end() ? nullptr : it->second.get();
+    s.read = s.own != nullptr ? s.own : base_ == nullptr ? nullptr : base_->page_of(addr);
+    s.mask_known = false;
+  }
+  return s;
+}
+
+const MemoryImage::Slot& MemoryImage::view_slot(Addr addr, const ApproxOverlay* overlay) {
+  if (overlay != mask_overlay_ || (overlay != nullptr && overlay->size() != mask_lines_)) {
+    for (Slot& s : slots_) s.mask_known = false;
+    mask_overlay_ = overlay;
+    mask_lines_ = overlay == nullptr ? 0 : overlay->size();
+  }
+  Slot& s = slot(addr);
+  if (!s.mask_known) {
+    s.approx_mask = overlay == nullptr ? 0 : overlay->page_mask(s.page);
+    s.mask_known = true;
+  }
+  return s;
 }
 
 MemoryImage::Page& MemoryImage::page_for_write(Addr addr) {
-  const Addr base = addr & ~static_cast<Addr>(kPageBytes - 1);
-  auto it = pages_.find(base);
-  if (it == pages_.end()) {
-    it = pages_.emplace(base, std::make_unique<Page>()).first;
-    it->second->fill(0);
+  Slot& s = slot(addr);
+  if (s.own == nullptr) {
+    auto page = std::make_unique<Page>();  // Zero-filled.
+    if (s.read != nullptr) *page = *s.read;  // First write to a base page.
+    s.own = page.get();
+    s.read = s.own;
+    pages_.emplace(s.page * kPageBytes, std::move(page));
   }
-  return *it->second;
+  return *s.own;
 }
 
 void MemoryImage::read(Addr addr, std::uint8_t* out, std::size_t n) const {
@@ -50,10 +113,13 @@ void MemoryImage::write(Addr addr, const std::uint8_t* data, std::size_t n) {
   }
 }
 
-void MemoryImage::blit_from(const MemoryImage& src, Addr bias) {
-  LD_ASSERT_MSG(bias % kPageBytes == 0, "blit bias must be page-aligned");
-  for (const auto& [base, page] : src.pages_)
-    write(base + bias, page->data(), kPageBytes);
+void MemoryImage::absorb(MemoryImage&& src, Addr bias) {
+  LD_ASSERT_MSG(bias % kPageBytes == 0, "absorb bias must be page-aligned");
+  LD_ASSERT_MSG(src.base_ == nullptr, "cannot absorb a copy-on-write child");
+  for (auto& [base, page] : src.pages_) pages_.insert_or_assign(base + bias, std::move(page));
+  src.pages_.clear();
+  src.flush_slots();
+  flush_slots();  // Replaced pages are freed; cached pointers to them dangle.
 }
 
 float MemoryImage::read_f32(Addr addr) const {
@@ -84,41 +150,37 @@ void MemoryImage::write_u32(Addr addr, std::uint32_t value) {
   write(addr, buf, 4);
 }
 
-void FunctionalMemory::record_approx_line(Addr line_addr, const std::uint8_t* bytes) {
-  LD_ASSERT(line_addr % kLineBytes == 0);
-  auto [it, inserted] = overlay_.try_emplace(line_addr);
-  if (!inserted) return;  // First prediction wins.
-  std::memcpy(it->second.data(), bytes, kLineBytes);
-}
-
 void FunctionalMemory::read_line(Addr line_addr, std::uint8_t out[kLineBytes]) const {
   LD_ASSERT(line_addr % kLineBytes == 0);
-  const auto it = overlay_.find(line_addr);
-  if (it != overlay_.end()) {
-    std::memcpy(out, it->second.data(), kLineBytes);
+  if (const ApproxOverlay::Line* line = overlay_.find(line_addr)) {
+    std::memcpy(out, line->data(), kLineBytes);
     return;
   }
   image_.read(line_addr, out, kLineBytes);
 }
 
-void MemView::read_small(Addr addr, std::uint8_t* out, std::size_t n) const {
+void MemView::read4(Addr addr, std::uint8_t out[4]) const {
   addr += bias_;
-  if (overlay_ != nullptr) {
-    const auto it = overlay_->find(line_base(addr));
-    if (it != overlay_->end()) {
-      const std::size_t offset = static_cast<std::size_t>(addr - line_base(addr));
-      LD_ASSERT(offset + n <= kLineBytes);
-      std::memcpy(out, it->second.data() + offset, n);
-      return;
-    }
+  const MemoryImage::Slot& s = storage_.view_slot(addr, overlay_);
+  const std::size_t offset = static_cast<std::size_t>(addr % kPageBytes);
+  if ((s.approx_mask >> (offset / kLineBytes) & 1u) != 0) {
+    // Only a masked line probes the overlay hash.
+    const ApproxOverlay::Line* line = overlay_->find(line_base(addr));
+    LD_ASSERT(line != nullptr && addr % kLineBytes + 4 <= kLineBytes);
+    std::memcpy(out, line->data() + addr % kLineBytes, 4);
+  } else if (offset + 4 > kPageBytes) {
+    storage_.read(addr, out, 4);  // Straddles a page.
+  } else if (s.read != nullptr) {
+    std::memcpy(out, s.read->data() + offset, 4);
+  } else {
+    std::memset(out, 0, 4);
   }
-  storage_.read(addr, out, n);
 }
 
 float MemView::read_f32(Addr addr) const {
   float v;
   std::uint8_t buf[4];
-  read_small(addr, buf, 4);
+  read4(addr, buf);
   std::memcpy(&v, buf, 4);
   return v;
 }
@@ -126,7 +188,7 @@ float MemView::read_f32(Addr addr) const {
 std::uint32_t MemView::read_u32(Addr addr) const {
   std::uint32_t v;
   std::uint8_t buf[4];
-  read_small(addr, buf, 4);
+  read4(addr, buf);
   std::memcpy(&v, buf, 4);
   return v;
 }

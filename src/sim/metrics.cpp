@@ -1,5 +1,7 @@
 #include "sim/metrics.hpp"
 
+#include <utility>
+
 #include "workloads/mix.hpp"
 
 namespace lazydram::sim {
@@ -124,18 +126,26 @@ RunMetrics collect_metrics(const gpu::GpuTop& gpu, const workloads::Workload& wo
     m.avg_th_rbl = th_weight / lazy_channels;
   }
 
-  if (compute_error && !gpu.fmem().overlay().empty())
-    m.app_error = workload.application_error(gpu.fmem());
+  // One pair of functional passes yields the aggregate and, on multi-tenant
+  // runs, every tenant's error.
+  std::vector<double> tenant_errors;
+  if (compute_error && !gpu.fmem().overlay().empty()) {
+    const auto* mix = gpu.num_tenants() > 1
+                          ? dynamic_cast<const workloads::MixWorkload*>(&workload)
+                          : nullptr;
+    if (mix != nullptr) {
+      workloads::MixWorkload::TenantErrors errors = mix->tenant_application_errors(gpu.fmem());
+      m.app_error = errors.total;
+      tenant_errors = std::move(errors.tenants);
+    } else {
+      m.app_error = workload.application_error(gpu.fmem());
+    }
+  }
 
   // Per-tenant slices (multi-tenant runs only). Counters come straight from
   // the controllers' per-tenant accounting; per-tenant latency histograms
   // merge over channels exactly like the aggregate above.
   if (gpu.num_tenants() > 1) {
-    std::vector<double> tenant_errors;
-    const auto* mix = dynamic_cast<const workloads::MixWorkload*>(&workload);
-    if (compute_error && mix != nullptr && !gpu.fmem().overlay().empty())
-      tenant_errors = mix->tenant_application_errors(gpu.fmem());
-
     for (TenantId t = 0; t < gpu.num_tenants(); ++t) {
       TenantMetrics tm;
       tm.id = t;

@@ -14,8 +14,6 @@
 // accumulation over smooth textures (High error tolerance).
 #include "workloads/apps.hpp"
 
-#include <cmath>
-
 #include "common/assert.hpp"
 #include "workloads/patterns.hpp"
 
@@ -127,22 +125,14 @@ class RayWorkload final : public Workload {
     return {{kTex, kTexElems * 4}};
   }
 
-  /// Only the first float of each frame line is an output; override the
-  /// default elementwise comparison accordingly.
-  double application_error(const gpu::FunctionalMemory& fmem) const override {
-    gpu::MemoryImage exact_img(fmem.image());
-    gpu::MemView exact(exact_img, nullptr);
-    compute_output(exact);
-    gpu::MemoryImage approx_img(fmem.image());
-    gpu::MemView approx(approx_img, &fmem.overlay());
-    compute_output(approx);
-    double sum = 0.0;
+  /// Only the first float of each frame line is an output; the rest of the
+  /// line is padding that must not dilute the mean.
+  void tally_output_errors(const gpu::MemView& exact, const gpu::MemView& approx,
+                           ErrorTally& tally) const override {
     for (unsigned w = 0; w < kWarps; ++w) {
       const Addr a = kFrame + static_cast<Addr>(w) * kLineBytes;
-      const double e = exact.read_f32(a), p = approx.read_f32(a);
-      sum += std::min(1.0, std::abs(p - e) / std::max(std::abs(e), 1e-6));
+      tally.add(exact.read_f32(a), approx.read_f32(a));
     }
-    return sum / kWarps;
   }
 };
 

@@ -1,6 +1,7 @@
 #include "workloads/mix.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "workloads/registry.hpp"
@@ -163,7 +164,7 @@ void MixWorkload::init_memory(gpu::MemoryImage& image) const {
     for (const auto& inner : ts.inners) {
       gpu::MemoryImage scratch;
       inner->init_memory(scratch);
-      image.blit_from(scratch, ts.base);
+      image.absorb(std::move(scratch), ts.base);
     }
   }
 }
@@ -202,33 +203,35 @@ std::vector<AddrRange> MixWorkload::approximable_ranges() const {
   return out;
 }
 
-std::vector<double> MixWorkload::tenant_application_errors(
-    const gpu::FunctionalMemory& fmem) const {
-  gpu::MemoryImage exact_img(fmem.image());
-  gpu::MemView exact_view(exact_img, nullptr);
-  compute_output(exact_view);
-
-  gpu::MemoryImage approx_img(fmem.image());
-  gpu::MemView approx_view(approx_img, &fmem.overlay());
-  compute_output(approx_view);
-
+std::vector<double> MixWorkload::tally_tenants(const gpu::MemView& exact,
+                                               const gpu::MemView& approx,
+                                               ErrorTally& total) const {
   std::vector<double> errors;
   errors.reserve(tenants_.size());
   for (const TenantState& ts : tenants_) {
-    std::vector<AddrRange> ranges;
+    ErrorTally tenant{.total = &total};
+    const gpu::MemView tenant_exact = exact.with_bias(ts.base);
+    const gpu::MemView tenant_approx = approx.with_bias(ts.base);
     for (const auto& inner : ts.inners)
-      for (AddrRange r : inner->output_ranges()) {
-        r.base += ts.base;
-        ranges.push_back(r);
-      }
-    errors.push_back(average_relative_error(exact_view, approx_view, ranges));
+      inner->tally_output_errors(tenant_exact, tenant_approx, tenant);
+    errors.push_back(tenant.mean());
   }
   return errors;
 }
 
-double MixWorkload::tenant_application_error(TenantId t,
-                                             const gpu::FunctionalMemory& fmem) const {
-  return tenant_application_errors(fmem)[t];
+void MixWorkload::tally_output_errors(const gpu::MemView& exact, const gpu::MemView& approx,
+                                      ErrorTally& tally) const {
+  tally_tenants(exact, approx, tally);
+}
+
+MixWorkload::TenantErrors MixWorkload::tenant_application_errors(
+    const gpu::FunctionalMemory& fmem) const {
+  const FunctionalPasses passes(*this, fmem);
+  ErrorTally total;
+  TenantErrors out;
+  out.tenants = tally_tenants(passes.exact(), passes.approx(), total);
+  out.total = total.mean();
+  return out;
 }
 
 }  // namespace lazydram::workloads

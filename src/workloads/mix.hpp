@@ -74,17 +74,22 @@ class MixWorkload : public Workload {
   void compute_output(gpu::MemView& view) const override;
   std::vector<AddrRange> output_ranges() const override;
   std::vector<AddrRange> approximable_ranges() const override;
+  /// Tenant by tenant, each kernel's own tally_output_errors on views biased
+  /// into the tenant's window.
+  void tally_output_errors(const gpu::MemView& exact, const gpu::MemView& approx,
+                           ErrorTally& tally) const override;
 
   // --- Per-tenant introspection ---
   const MixTenant& tenant(TenantId t) const { return tenants_[t].spec; }
   unsigned tenant_warps(TenantId t) const { return tenants_[t].warps; }
   unsigned tenant_warp_base(TenantId t) const { return tenants_[t].warp_base; }
-  /// Application error of tenant `t`'s outputs alone (same Section II-D
-  /// metric as application_error, restricted to the tenant's window).
-  double tenant_application_error(TenantId t, const gpu::FunctionalMemory& fmem) const;
-  /// All tenants' errors with one pair of functional passes (the per-tenant
-  /// form reruns both passes per call).
-  std::vector<double> tenant_application_errors(const gpu::FunctionalMemory& fmem) const;
+  /// The run's application error and each tenant's error over its own
+  /// outputs (same Section II-D metric), from one pair of functional passes.
+  struct TenantErrors {
+    double total = 0.0;
+    std::vector<double> tenants;
+  };
+  TenantErrors tenant_application_errors(const gpu::FunctionalMemory& fmem) const;
 
  private:
   struct TenantState {
@@ -104,6 +109,10 @@ class MixWorkload : public Workload {
   std::uint16_t think_cycles(TenantId t, unsigned warp, unsigned iter) const;
   /// Ops per iteration for the tenant's local warp `w`.
   unsigned iter_len(const TenantState& ts, unsigned local) const;
+  /// Tallies every tenant's outputs into `total`; returns each tenant's own
+  /// mean error.
+  std::vector<double> tally_tenants(const gpu::MemView& exact, const gpu::MemView& approx,
+                                    ErrorTally& total) const;
 
   std::vector<TenantState> tenants_;
   std::uint64_t seed_;

@@ -1,5 +1,6 @@
 #include "workloads/workload.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -15,45 +16,44 @@ const char* level_name(Level level) {
   return "?";
 }
 
-double average_relative_error(const gpu::MemView& exact, const gpu::MemView& approx,
-                              const std::vector<AddrRange>& ranges) {
-  double error_sum = 0.0;
-  std::uint64_t count = 0;
-  for (const AddrRange& range : ranges) {
-    LD_ASSERT_MSG(range.bytes % 4 == 0, "output ranges must be f32 arrays");
-    for (Addr a = range.base; a < range.base + range.bytes; a += 4) {
-      const float e = exact.read_f32(a);
-      const float p = approx.read_f32(a);
-      if (!std::isfinite(e) || !std::isfinite(p)) {
-        error_sum += 1.0;  // Non-finite divergence counts as 100% error.
-        ++count;
-        continue;
-      }
-      const double denom = std::abs(static_cast<double>(e));
-      const double diff = std::abs(static_cast<double>(p) - static_cast<double>(e));
-      // Guard tiny denominators so near-zero outputs do not explode the
-      // relative metric (standard practice in approximate-computing evals).
-      error_sum += std::min(1.0, diff / std::max(denom, 1e-6));
-      ++count;
-    }
+void ErrorTally::add(float exact, float approx) {
+  double error = 1.0;  // Non-finite divergence counts as 100% error.
+  if (std::isfinite(exact) && std::isfinite(approx)) {
+    const double denom = std::abs(static_cast<double>(exact));
+    const double diff = std::abs(static_cast<double>(approx) - static_cast<double>(exact));
+    // Guard tiny denominators so near-zero outputs do not explode the
+    // relative metric (standard practice in approximate-computing evals).
+    error = std::min(1.0, diff / std::max(denom, 1e-6));
   }
-  return count == 0 ? 0.0 : error_sum / static_cast<double>(count);
+  for (ErrorTally* t = this; t != nullptr; t = t->total) {
+    t->sum += error;
+    ++t->count;
+  }
+}
+
+FunctionalPasses::FunctionalPasses(const Workload& workload, const gpu::FunctionalMemory& fmem)
+    : exact_image_(gpu::MemoryImage::copy_on_write(fmem.image())),
+      approx_image_(gpu::MemoryImage::copy_on_write(fmem.image())),
+      exact_view_(exact_image_, nullptr),
+      approx_view_(approx_image_, &fmem.overlay()) {
+  workload.compute_output(exact_view_);
+  workload.compute_output(approx_view_);
+}
+
+void Workload::tally_output_errors(const gpu::MemView& exact, const gpu::MemView& approx,
+                                   ErrorTally& tally) const {
+  for (const AddrRange& range : output_ranges()) {
+    LD_ASSERT_MSG(range.bytes % 4 == 0, "output ranges must be f32 arrays");
+    for (Addr a = range.base; a < range.base + range.bytes; a += 4)
+      tally.add(exact.read_f32(a), approx.read_f32(a));
+  }
 }
 
 double Workload::application_error(const gpu::FunctionalMemory& fmem) const {
-  // Exact pass: pristine image, no overlay.
-  gpu::MemoryImage exact_img(fmem.image());
-  gpu::MemView exact_view(exact_img, nullptr);
-  compute_output(exact_view);
-
-  // Approximate pass: every read consults the VP overlay first.
-  gpu::MemoryImage approx_img(fmem.image());
-  gpu::MemView approx_view(approx_img, &fmem.overlay());
-  compute_output(approx_view);
-
-  // Average relative error over all declared f32 outputs, reading each
-  // output the way a consumer would (through the respective view).
-  return average_relative_error(exact_view, approx_view, output_ranges());
+  const FunctionalPasses passes(*this, fmem);
+  ErrorTally tally;
+  tally_output_errors(passes.exact(), passes.approx(), tally);
+  return tally.mean();
 }
 
 bool Workload::is_approximable(Addr addr) const {

@@ -46,6 +46,20 @@ struct AddrRange {
   bool contains(Addr a) const { return a >= base && a - base < bytes; }
 };
 
+/// Running (sum, count) of per-output relative errors (Section II-D).
+struct ErrorTally {
+  double sum = 0.0;
+  std::uint64_t count = 0;
+  /// When set, every term is also added there, in the same order (a
+  /// tenant's tally feeds the run's aggregate).
+  ErrorTally* total = nullptr;
+
+  /// Adds min(1, |approx - exact| / |exact|); a non-finite value on either
+  /// side counts as 100% error.
+  void add(float exact, float approx);
+  double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
+};
+
 class Workload {
  public:
   virtual ~Workload() = default;
@@ -93,19 +107,39 @@ class Workload {
   /// Annotated safe-to-approximate input regions (Listing 1).
   virtual std::vector<AddrRange> approximable_ranges() const = 0;
 
-  /// Average relative error between the exact and approximate outputs
-  /// (Section II-D). Default: elementwise mean over all output_ranges().
-  virtual double application_error(const gpu::FunctionalMemory& fmem) const;
+  /// Adds each output's relative error between the exact and approximate
+  /// views to `tally` (Section II-D). Default: every f32 of output_ranges(),
+  /// in range order. Models whose ranges hold non-output bytes override it.
+  virtual void tally_output_errors(const gpu::MemView& exact, const gpu::MemView& approx,
+                                   ErrorTally& tally) const;
+
+  /// Average relative error between the exact and approximate outputs of a
+  /// finished run (Section II-D): tally_output_errors over FunctionalPasses.
+  double application_error(const gpu::FunctionalMemory& fmem) const;
 
   /// True iff `addr` lies in an annotated approximable range.
   bool is_approximable(Addr addr) const;
 };
 
-/// Average relative error between two computed views over `ranges`
-/// (Section II-D: elementwise mean of min(1, |approx - exact| / |exact|),
-/// with non-finite divergence counted as 100%). Shared by the default
-/// application_error and per-tenant error slices.
-double average_relative_error(const gpu::MemView& exact, const gpu::MemView& approx,
-                              const std::vector<AddrRange>& ranges);
+/// The exact and approximate functional passes over one finished run: two
+/// copy-on-write children of the run's image, each with the workload's
+/// compute_output applied through its view (the approximate one reads the VP
+/// overlay). The children own only the pages the model writes; `fmem` must
+/// outlive this object and must not change meanwhile.
+class FunctionalPasses {
+ public:
+  FunctionalPasses(const Workload& workload, const gpu::FunctionalMemory& fmem);
+  FunctionalPasses(const FunctionalPasses&) = delete;
+  FunctionalPasses& operator=(const FunctionalPasses&) = delete;
+
+  const gpu::MemView& exact() const { return exact_view_; }
+  const gpu::MemView& approx() const { return approx_view_; }
+
+ private:
+  gpu::MemoryImage exact_image_;
+  gpu::MemoryImage approx_image_;
+  gpu::MemView exact_view_;
+  gpu::MemView approx_view_;
+};
 
 }  // namespace lazydram::workloads

@@ -1,14 +1,39 @@
 // FunctionalMemory / MemoryImage / MemView tests: sparse storage, typed
-// access, the approximate-line overlay and exact-vs-approximate views.
+// access, copy-on-write children, page moves, the approximate-line overlay,
+// exact-vs-approximate views and their shared page cache.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
+#include <vector>
 
+#include "core/scheduler_registry.hpp"
 #include "gpu/functional_memory.hpp"
+#include "gpu/gpu_top.hpp"
+#include "workloads/mix.hpp"
+#include "workloads/registry.hpp"
 
 namespace lazydram::gpu {
 namespace {
+
+/// Same owned pages with the same bytes.
+bool same_pages(const MemoryImage& a, const MemoryImage& b) {
+  if (a.pages() != b.pages()) return false;
+  bool same = true;
+  a.for_each_page([&](Addr base, const std::uint8_t* bytes) {
+    std::array<std::uint8_t, kPageBytes> other;
+    b.read(base, other.data(), kPageBytes);
+    same = same && std::memcmp(bytes, other.data(), kPageBytes) == 0;
+  });
+  return same;
+}
+
+/// The page copy MixWorkload's initialization used before page moves: a
+/// whole-page overwrite at `bias` for every page `src` owns.
+void reference_blit(MemoryImage& dst, const MemoryImage& src, Addr bias) {
+  src.for_each_page(
+      [&](Addr base, const std::uint8_t* bytes) { dst.write(base + bias, bytes, kPageBytes); });
+}
 
 TEST(MemoryImage, UnwrittenBytesReadZero) {
   MemoryImage img;
@@ -42,6 +67,78 @@ TEST(MemoryImage, CopyIsDeep) {
   b.write_f32(0x100, 2.0f);
   EXPECT_FLOAT_EQ(a.read_f32(0x100), 1.0f);
   EXPECT_FLOAT_EQ(b.read_f32(0x100), 2.0f);
+}
+
+TEST(MemoryImage, CopyOnWriteChildReadsThroughAndCopiesOnFirstWrite) {
+  MemoryImage base;
+  base.write_f32(0x1000, 1.0f);
+  base.write_f32(0x1004, 2.0f);
+  MemoryImage child = MemoryImage::copy_on_write(base);
+  EXPECT_EQ(child.pages(), 0u);
+  EXPECT_FLOAT_EQ(child.read_f32(0x1000), 1.0f);  // Read-through.
+  EXPECT_FLOAT_EQ(child.read_f32(0x9000), 0.0f);  // Absent in both.
+
+  child.write_f32(0x1000, 5.0f);
+  EXPECT_EQ(child.pages(), 1u);
+  EXPECT_FLOAT_EQ(child.read_f32(0x1000), 5.0f);
+  EXPECT_FLOAT_EQ(child.read_f32(0x1004), 2.0f);  // Rest of the page copied.
+  EXPECT_FLOAT_EQ(base.read_f32(0x1000), 1.0f);   // Base never written.
+  EXPECT_EQ(base.pages(), 1u);
+
+  // Through a view (the page cache) as well as the image API.
+  MemView view(child, nullptr);
+  view.write_f32(0x1008, 7.0f);
+  EXPECT_FLOAT_EQ(view.read_f32(0x1008), 7.0f);
+  EXPECT_FLOAT_EQ(base.read_f32(0x1008), 0.0f);
+  EXPECT_FLOAT_EQ(view.read_f32(0x1004), 2.0f);
+}
+
+TEST(MemoryImage, AbsorbMovesPagesAsWholePageOverwrites) {
+  // Phase b partially rewrites a page phase a filled: the moved page
+  // replaces a's page whole, zeros included, exactly like a page blit.
+  MemoryImage a, b;
+  for (Addr off = 0; off < 2 * kPageBytes; off += 4) a.write_u32(off, 0xa0000000u + off);
+  b.write_u32(kPageBytes + 8, 0xbbbbbbbbu);
+  b.write_u32(5 * kPageBytes, 0xb5u);
+  const Addr bias = Addr{1} << 30;
+
+  MemoryImage expected;
+  reference_blit(expected, a, bias);
+  reference_blit(expected, b, bias);
+
+  MemoryImage target;
+  target.absorb(MemoryImage(a), bias);
+  MemoryImage b_copy(b);
+  target.absorb(std::move(b_copy), bias);
+  EXPECT_EQ(b_copy.pages(), 0u);
+  EXPECT_TRUE(same_pages(target, expected));
+  EXPECT_EQ(target.read_u32(bias + kPageBytes + 12), 0u);  // Overwritten whole.
+  EXPECT_EQ(target.read_u32(bias + 4), 0xa0000004u);       // Untouched page kept.
+}
+
+TEST(MemoryImage, MixInitMatchesPageBlitOnOverlappingPhases) {
+  // Tenant 1's two phases share pages (GEMM's and 3MM's inputs overlap), so
+  // the later phase must replace the earlier one's pages.
+  std::vector<workloads::MixTenant> tenants(2);
+  tenants[0].kernels = {"3MM"};
+  tenants[1].kernels = {"GEMM", "3MM"};
+  const workloads::MixWorkload mix(tenants);
+  MemoryImage actual;
+  mix.init_memory(actual);
+
+  MemoryImage expected;
+  std::size_t shared_pages = 0;
+  for (TenantId t = 0; t < 2; ++t) {
+    for (const std::string& kernel : tenants[t].kernels) {
+      MemoryImage scratch;
+      workloads::make_workload(kernel)->init_memory(scratch);
+      const std::size_t before = expected.pages();
+      reference_blit(expected, scratch, workloads::MixWorkload::tenant_base(t));
+      shared_pages += before + scratch.pages() - expected.pages();
+    }
+  }
+  ASSERT_GT(shared_pages, 0u) << "phases must overlap for this test to bite";
+  EXPECT_TRUE(same_pages(actual, expected));
 }
 
 class OverlayTest : public ::testing::Test {
@@ -82,8 +179,8 @@ TEST_F(OverlayTest, ReadLinePrefersOverlay) {
 
 TEST_F(OverlayTest, ViewsDivergeOnOverlay) {
   fmem_.record_approx_line(kLine, approx_.data());
-  MemoryImage exact_img(fmem_.image());
-  MemoryImage approx_img(fmem_.image());
+  MemoryImage exact_img = MemoryImage::copy_on_write(fmem_.image());
+  MemoryImage approx_img = MemoryImage::copy_on_write(fmem_.image());
   MemView exact(exact_img, nullptr);
   MemView approx(approx_img, &fmem_.overlay());
   EXPECT_FLOAT_EQ(exact.read_f32(kLine), 10.0f);
@@ -92,9 +189,103 @@ TEST_F(OverlayTest, ViewsDivergeOnOverlay) {
   // (per-load pessimism documented in DESIGN.md).
   approx.write_f32(kLine, 55.0f);
   EXPECT_FLOAT_EQ(approx.read_f32(kLine), 99.0f);
-  // Non-overlaid addresses read storage normally.
+  EXPECT_FLOAT_EQ(approx.with_bias(4).read_f32(kLine - 4), 99.0f);
+  EXPECT_FLOAT_EQ(approx_img.read_f32(kLine), 55.0f);
+  EXPECT_FLOAT_EQ(fmem_.image().read_f32(kLine), 10.0f);
+  EXPECT_FLOAT_EQ(exact.read_f32(kLine), 10.0f);
+  // Non-overlaid addresses read storage normally, on the same page too.
   approx.write_f32(kLine + kLineBytes, 7.0f);
   EXPECT_FLOAT_EQ(approx.read_f32(kLine + kLineBytes), 7.0f);
+  // A line recorded after the view's first read is still honored.
+  fmem_.record_approx_line(kLine + kLineBytes, approx_.data());
+  EXPECT_FLOAT_EQ(approx.read_f32(kLine + kLineBytes), 99.0f);
+}
+
+TEST(MemView, BiasedViewsSeeEachOthersWritesOnOnePage) {
+  MemoryImage base;
+  base.write_f32(0x2000, 1.0f);
+  base.write_f32(0x2040, 2.0f);
+  MemoryImage child = MemoryImage::copy_on_write(base);
+  const MemView low(child, nullptr);
+  const MemView high = low.with_bias(0x40);
+
+  // `low` caches the base page, then `high` copies it into the child.
+  EXPECT_FLOAT_EQ(low.read_f32(0x2040), 2.0f);
+  MemView writer = high;
+  writer.write_f32(0x2000, 3.0f);  // Lands at 0x2040.
+  EXPECT_FLOAT_EQ(low.read_f32(0x2040), 3.0f);
+  EXPECT_FLOAT_EQ(high.read_f32(0x2000), 3.0f);
+
+  MemView low_writer = low;
+  low_writer.write_f32(0x2080, 4.0f);
+  EXPECT_FLOAT_EQ(high.read_f32(0x2040), 4.0f);
+  EXPECT_FLOAT_EQ(low.read_f32(0x2000), 1.0f);
+  EXPECT_FLOAT_EQ(base.read_f32(0x2040), 2.0f);
+  EXPECT_EQ(child.pages(), 1u);
+}
+
+TEST(MemView, ImageOutlivesTheOverlayItsViewRead) {
+  // The cache remembers which overlay its masks describe but must never
+  // dereference it again: a later write may come after the overlay is gone
+  // (the sanitizer build turns a violation into a failure).
+  MemoryImage img;
+  img.write_f32(0x1000, 1.0f);
+  {
+    ApproxOverlay overlay;
+    std::array<std::uint8_t, kLineBytes> line{};
+    overlay.record(0x1000, line.data());
+    const MemView view(img, &overlay);
+    EXPECT_FLOAT_EQ(view.read_f32(0x1000), 0.0f);
+  }
+  for (Addr page = 0; page < 64; ++page) img.write_u32(page * kPageBytes + 8, 3);
+  EXPECT_FLOAT_EQ(img.read_f32(0x1000), 1.0f);
+  EXPECT_EQ(img.read_u32(0x2008), 3u);
+  const MemView exact(img, nullptr);
+  EXPECT_FLOAT_EQ(exact.read_f32(0x1000), 1.0f);
+}
+
+TEST(MemView, PagesInOneCacheSlotStayDistinct) {
+  // Many MiB-aligned arrays: whatever slots they share, each read must
+  // return its own page's value.
+  MemoryImage base;
+  constexpr unsigned kArrays = 64;
+  for (unsigned i = 0; i < kArrays; ++i) base.write_u32(static_cast<Addr>(i) << 20, i + 1);
+  MemoryImage child = MemoryImage::copy_on_write(base);
+  MemView view(child, nullptr);
+  for (unsigned round = 0; round < 2; ++round)
+    for (unsigned i = 0; i < kArrays; ++i) {
+      EXPECT_EQ(view.read_u32(static_cast<Addr>(i) << 20), i + 1);
+      if (round == 0 && i % 3 == 0) view.write_u32((static_cast<Addr>(i) << 20) + 4, 0);
+    }
+}
+
+TEST(FunctionalPasses, ApplicationErrorLeavesTheRunImageIntact) {
+  // laplacian writes its outputs onto pages its inputs already occupy, so
+  // both children copy base pages before writing.
+  const auto workload = workloads::make_workload("laplacian");
+  GpuConfig cfg;
+  const core::SchemeSpec spec =
+      core::make_scheme_spec(core::SchemeKind::kDynCombo, cfg.scheme);
+  GpuTop top(cfg, *workload, core::make_scheduler_factory(cfg, spec));
+  ASSERT_TRUE(top.run());
+  ASSERT_FALSE(top.fmem().overlay().empty());
+
+  const MemoryImage before(top.fmem().image());
+  const double error = workload->application_error(top.fmem());
+  EXPECT_GT(error, 0.0);
+  EXPECT_TRUE(same_pages(top.fmem().image(), before));
+  EXPECT_EQ(workload->application_error(top.fmem()), error);
+
+  // The same passes on deep copies of the image give the same error.
+  MemoryImage exact_img(before);
+  MemoryImage approx_img(before);
+  MemView exact(exact_img, nullptr);
+  MemView approx(approx_img, &top.fmem().overlay());
+  workload->compute_output(exact);
+  workload->compute_output(approx);
+  workloads::ErrorTally tally;
+  workload->tally_output_errors(exact, approx, tally);
+  EXPECT_EQ(tally.mean(), error);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 // past a gated candidate.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -237,6 +239,46 @@ TEST(TenantIdentity, OneTenantRunMatchesSingleWorkloadRunBitExactly) {
   EXPECT_EQ(a.read_latency_p99, b.read_latency_p99);
   // Single-tenant runs surface no per-tenant slices (legacy output shape).
   EXPECT_TRUE(b.tenants.empty());
+}
+
+TEST(TenantIdentity, RayErrorIsTheSameAloneAndAsATenant) {
+  // RAY's frame lines hold one output float each; the aggregate and the
+  // per-tenant errors must both use that definition, wherever RAY runs.
+  const auto ray = workloads::make_workload("RAY");
+  const workloads::AddrRange tex = ray->approximable_ranges().front();
+  // Scaled copies of every 7th texture line stand in for VP predictions.
+  auto approximate = [&](gpu::FunctionalMemory& fmem, Addr bias) {
+    for (Addr line = tex.base; line < tex.base + tex.bytes; line += 7 * kLineBytes) {
+      std::array<std::uint8_t, kLineBytes> bytes;
+      fmem.image().read(line + bias, bytes.data(), kLineBytes);
+      for (unsigned i = 0; i < kLineBytes; i += 4) {
+        float v;
+        std::memcpy(&v, &bytes[i], 4);
+        v *= 1.5f;
+        std::memcpy(&bytes[i], &v, 4);
+      }
+      fmem.record_approx_line(line + bias, bytes.data());
+    }
+  };
+
+  gpu::FunctionalMemory alone;
+  ray->init_memory(alone.image());
+  approximate(alone, 0);
+  const double expected = ray->application_error(alone);
+  ASSERT_GT(expected, 0.0);
+
+  gpu::TenantSet single(gpu::parse_tenant_specs("RAY"));
+  EXPECT_EQ(single.workload().application_error(alone), expected);
+
+  gpu::TenantSet pair(gpu::parse_tenant_specs("CONS;RAY"));
+  gpu::FunctionalMemory shared;
+  pair.workload().init_memory(shared.image());
+  approximate(shared, MixWorkload::tenant_base(1));
+  const MixWorkload::TenantErrors errors = pair.workload().tenant_application_errors(shared);
+  ASSERT_EQ(errors.tenants.size(), 2u);
+  EXPECT_EQ(errors.tenants[0], 0.0);
+  EXPECT_EQ(errors.tenants[1], expected);
+  EXPECT_EQ(errors.total, pair.workload().application_error(shared));
 }
 
 // ---------------------------------------------------------------------------
