@@ -31,6 +31,9 @@ void GpuConfig::validate() const {
                 "a 128B transaction must not straddle channels");
   LD_ASSERT(is_pow2(row_bytes) && row_bytes >= channel_interleave_bytes);
   LD_ASSERT(is_pow2(banks_per_channel));
+  LD_ASSERT_MSG(banks_per_channel <= 64,
+                "banks_per_channel must be at most 64 (the controller's bank masks "
+                "are one 64-bit word)");
   LD_ASSERT(bank_groups_per_channel > 0 &&
             banks_per_channel % bank_groups_per_channel == 0);
   LD_ASSERT(pending_queue_size > 0);

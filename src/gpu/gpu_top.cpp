@@ -1,6 +1,7 @@
 #include "gpu/gpu_top.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "check/checker.hpp"
@@ -42,6 +43,9 @@ GpuTop::GpuTop(const GpuConfig& cfg, const workloads::Workload& workload,
   LD_ASSERT_MSG(warps <= cfg.num_sms * cfg.max_warps_per_sm,
                 "workload grid exceeds one wave of resident warps");
   for (unsigned w = 0; w < warps; ++w) sms_[w % cfg.num_sms]->assign_warp(w);
+  awake_.assign((cfg.num_sms + 63) / 64, 0);
+  for (SmId s = 0; s < cfg.num_sms; ++s) awake_[s / 64] |= std::uint64_t{1} << (s % 64);
+  sleep_from_.assign(cfg.num_sms, 0);
 
   if (telemetry != nullptr) {
     tracer_ = &telemetry->tracer();
@@ -132,6 +136,42 @@ Cycle GpuTop::tenant_finish_cycle(TenantId t) const {
   return last;
 }
 
+void GpuTop::sleep_sm(SmId s) {
+  awake_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+  sleep_from_[s] = core_cycle_ + 1;
+  next_sm_wake_ = std::min(next_sm_wake_, sms_[s]->park_until());
+}
+
+void GpuTop::wake_sm(SmId s, Cycle first_tick) {
+  std::uint64_t& word = awake_[s / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+  if ((word & bit) != 0) return;
+  word |= bit;
+  const Cycle slept = first_tick - sleep_from_[s];
+  sms_[s]->add_parked_ticks(slept);
+  work_.sm_ticks_slept += slept;
+}
+
+void GpuTop::wake_sms(Cycle first_tick) {
+  // A grant freed a slot in a sleeping SM's crossbar input.
+  const std::vector<std::uint64_t>& granted = req_xbar_.granted_sources();
+  for (unsigned w = 0; w < awake_.size(); ++w)
+    for (std::uint64_t bits = granted[w] & ~awake_[w]; bits != 0; bits &= bits - 1)
+      wake_sm(static_cast<SmId>(w * 64 + std::countr_zero(bits)), first_tick);
+  // A compute timer or L1-hit completion falls due. next_sm_wake_ may be
+  // stale (its SM already woke), which only costs an extra scan.
+  if (first_tick < next_sm_wake_) return;
+  next_sm_wake_ = kNeverCycle;
+  for (SmId s = 0; s < sms_.size(); ++s) {
+    if ((awake_[s / 64] >> (s % 64)) & 1) continue;
+    const Cycle due = sms_[s]->park_until();
+    if (due <= first_tick)
+      wake_sm(s, first_tick);
+    else
+      next_sm_wake_ = std::min(next_sm_wake_, due);
+  }
+}
+
 bool GpuTop::finished() const {
   for (const auto& sm : sms_)
     if (!sm->all_done()) return false;
@@ -145,18 +185,26 @@ bool GpuTop::finished() const {
   return true;
 }
 
+GpuTop::BacklogKey GpuTop::backlog_key(const Partition& p) {
+  return {p.mc->queue().size(), p.waiting.size(), p.pending_mc.size(), p.l2.fills()};
+}
+
 void GpuTop::handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& stalled) {
+  // A stalled attempt only probes (contains()) and counts nothing; the L2
+  // counts one access() per packet, on the attempt that serves it.
   stalled = false;
+  const bool hit = p.l2.contains(pkt.line_addr);
 
   if (pkt.kind == AccessKind::kWrite) {
     // Write-back for hits; write-no-allocate for misses (the store stream
     // goes straight to DRAM, becoming the pending write requests AMS must
     // respect).
-    if (p.l2.access(pkt.line_addr, /*is_write=*/true).hit) return;
-    if (p.pending_mc.size() >= kPendingMcCap) {
+    if (!hit && p.pending_mc.size() >= kPendingMcCap) {
       stalled = true;
       return;
     }
+    p.l2.access(pkt.line_addr, /*is_write=*/true);
+    if (hit) return;
     MemRequest req;
     req.id = next_request_id_++;
     req.line_addr = pkt.line_addr;
@@ -166,24 +214,25 @@ void GpuTop::handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& 
     return;
   }
 
-  // Read.
-  if (p.l2.access(pkt.line_addr, /*is_write=*/false).hit) {
+  // Read. A miss merges into its line's miss-table entry, or allocates one
+  // if the table and the controller's queue have room; else it stalls.
+  const auto it = hit ? p.waiting.end() : p.waiting.find(pkt.line_addr);
+  if (!hit && it == p.waiting.end() &&
+      (p.waiting.size() >= cfg_.l2.mshr_entries || !p.mc->can_accept())) {
+    stalled = true;
+    return;
+  }
+  p.l2.access(pkt.line_addr, /*is_write=*/false);
+  if (hit) {
     icnt::Packet reply = pkt;
     reply.approximate = p.l2.line_is_approx(pkt.line_addr);
     p.pending_replies.push_back(
         PendingReply{core_cycle_ + cfg_.l2_hit_latency, reply});
     return;
   }
-
-  // Miss: merge or allocate.
-  const auto it = p.waiting.find(pkt.line_addr);
   if (it != p.waiting.end()) {
     it->second.push_back(pkt);
     if (lifecycle_ != nullptr) lifecycle_->on_mshr_merge(pkt.line_addr);
-    return;
-  }
-  if (p.waiting.size() >= cfg_.l2.mshr_entries || !p.mc->can_accept()) {
-    stalled = true;
     return;
   }
   p.waiting.emplace(pkt.line_addr, std::vector<icnt::Packet>{pkt});
@@ -204,8 +253,13 @@ void GpuTop::handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& 
 }
 
 void GpuTop::partition_tick(Partition& p, unsigned idx, bool mem_ticked) {
-  // 1. DRAM side advances in the memory clock domain.
-  if (mem_ticked) p.mc->tick(mem_now_);
+  // 1. DRAM side advances in the memory clock domain; a cycle the
+  //    controller proves idle is replayed instead of ticked.
+  if (mem_ticked) {
+    const std::uint64_t ticked = p.mc->advance(mem_now_ - 1, mem_now_);
+    work_.mc_ticks += ticked;
+    work_.mc_ticks_skipped += 1 - ticked;
+  }
 
   // 2. Drain deferred MC work (write-backs, stalled writes).
   while (!p.pending_mc.empty() && p.mc->can_accept()) {
@@ -220,10 +274,18 @@ void GpuTop::partition_tick(Partition& p, unsigned idx, bool mem_ticked) {
   //    FR-FCFS scheduler cannot see them.
   for (unsigned n = 0; n < kInputsPerCycle; ++n) {
     icnt::Packet pkt;
-    bool from_backlog = false;
-    if (!p.input_backlog.empty()) {
+    const bool from_backlog = !p.input_backlog.empty();
+    if (from_backlog) {
+      // The head stalled on its last attempt. Its verdict reads only the
+      // L2's contents, the miss table, the deferred-enqueue queue and the
+      // controller's queue space, and none of them changes without moving
+      // one of the key's counts; until one moves, a retry would stall again.
+      if (backlog_key(p) == p.stalled_at) {
+        ++work_.backlog_retries_skipped;
+        break;
+      }
+      ++work_.backlog_retries;
       pkt = p.input_backlog.front();
-      from_backlog = true;
     } else {
       auto popped = req_xbar_.pop(idx, core_cycle_);
       if (!popped) break;
@@ -233,9 +295,11 @@ void GpuTop::partition_tick(Partition& p, unsigned idx, bool mem_ticked) {
     bool stalled = false;
     handle_request_packet(p, pkt, stalled);
     if (stalled) {
+      p.stalled_at = backlog_key(p);
       if (!from_backlog) p.input_backlog.push_back(pkt);
       break;
     }
+    ++work_.request_packets;
     if (from_backlog) p.input_backlog.pop_front();
   }
 
@@ -308,28 +372,48 @@ void GpuTop::step() {
   const bool sample = self_enabled_ && (core_cycle_ & 63) == 0;
   std::chrono::steady_clock::time_point t0, t1, t2, t3;
   if (sample) t0 = std::chrono::steady_clock::now();
-  for (auto& sm : sms_) sm->tick(core_cycle_, req_xbar_);
+  // Only awake SMs tick. One whose next tick would be parked sleeps instead
+  // (see wake_sms()); the bits of the current word are read once, so an SM
+  // that falls asleep here is not revisited.
+  for (unsigned w = 0; w < awake_.size(); ++w)
+    for (std::uint64_t bits = awake_[w]; bits != 0; bits &= bits - 1) {
+      const auto s = static_cast<SmId>(w * 64 + std::countr_zero(bits));
+      Sm& sm = *sms_[s];
+      sm.tick(core_cycle_, req_xbar_);
+      ++work_.sm_ticks;
+      if (sm.parked(core_cycle_ + 1, req_xbar_)) sleep_sm(s);
+    }
   if (sample) t1 = std::chrono::steady_clock::now();
   req_xbar_.tick(core_cycle_);
   for (unsigned ch = 0; ch < partitions_.size(); ++ch)
     partition_tick(partitions_[ch], ch, mem_ticked);
   if (sample) t2 = std::chrono::steady_clock::now();
   reply_xbar_.tick(core_cycle_);
-  for (SmId s = 0; s < sms_.size(); ++s)
-    while (auto pkt = reply_xbar_.pop(s, core_cycle_)) {
-      if (lifecycle_ != nullptr && pkt->parent != 0)
-        lifecycle_->on_warp_wakeup(pkt->parent, core_cycle_);
-      sms_[s]->on_reply(*pkt);
+  // Replies go out in ascending SM order, visiting only the SMs with
+  // packets in the switch's landing buffers. A reply ends a park.
+  const std::vector<std::uint64_t>& buffered = reply_xbar_.buffered_destinations();
+  for (unsigned w = 0; w < buffered.size(); ++w)
+    for (std::uint64_t bits = buffered[w]; bits != 0; bits &= bits - 1) {
+      const auto s = static_cast<SmId>(w * 64 + std::countr_zero(bits));
+      bool delivered = false;
+      while (auto pkt = reply_xbar_.pop(s, core_cycle_)) {
+        if (lifecycle_ != nullptr && pkt->parent != 0)
+          lifecycle_->on_warp_wakeup(pkt->parent, core_cycle_);
+        sms_[s]->on_reply(*pkt);
+        delivered = true;
+      }
+      if (delivered) wake_sm(s, core_cycle_ + 1);
     }
+  wake_sms(core_cycle_ + 1);
   if (sample) {
     t3 = std::chrono::steady_clock::now();
     ++self_stats_.step_samples;
     self_stats_.sm_sample_seconds += seconds_between(t0, t1);
     // The request crossbar ticks inside the t1..t2 slice with the
-    // partitions; the reply-side crossbar work is t2..t3. Splitting the
-    // request xbar out would cost a fifth clock read for a component that is
-    // a small constant, so it is attributed to the partition slice and the
-    // icnt share reported from the reply side alone is a lower bound.
+    // partitions; the reply-side crossbar work and the SM wake bookkeeping
+    // are t2..t3. Splitting the request xbar out would cost a fifth clock
+    // read for a component that is a small constant, so it is attributed to
+    // the partition slice and the icnt share is a lower bound.
     self_stats_.partition_sample_seconds += seconds_between(t1, t2);
     self_stats_.icnt_sample_seconds += seconds_between(t2, t3);
   }
@@ -467,6 +551,8 @@ bool GpuTop::run(Cycle max_core_cycles) {
 }
 
 void GpuTop::finalize() {
+  // Credit the parked ticks of SMs still asleep, through the last cycle.
+  for (SmId s = 0; s < sms_.size(); ++s) wake_sm(s, core_cycle_ + 1);
   for (Partition& p : partitions_) p.mc->finalize();
 }
 
@@ -537,7 +623,8 @@ Cycle GpuTop::serial_next_event() const {
   const Cycle now = core_cycle_;
   // Any packet anywhere in either crossbar keeps the serial side hot: it
   // moves (or becomes poppable) on its own schedule the switch doesn't
-  // expose, so poll. Idle switches tick as pure no-ops.
+  // expose, so poll. Idle switches tick as pure no-ops. This also covers
+  // sleeping SMs, whose full crossbar inputs hold packets.
   if (!req_xbar_.idle() || !reply_xbar_.idle()) return now + 1;
   Cycle ev = kNeverCycle;
   for (const auto& sm : sms_) {
@@ -657,29 +744,13 @@ void GpuTop::run_mem_span(Cycle m0, Cycle m1) {
   }
 }
 
-void GpuTop::advance_channel(ChannelId ch, Cycle m0, Cycle m1, ChannelCapture* cap) {
+void GpuTop::advance_channel(ChannelId ch, Cycle m0, Cycle m1, ChannelCapture& cap) {
   MemoryController& mc = *partitions_[ch].mc;
-  Cycle m = m0;
-  while (m < m1) {
-    const Cycle ev = mc.next_event(m);
-    if (ev > m + 1) {
-      const Cycle to = std::min(ev - 1, m1);
-      mc.advance_idle(m, to);
-      m = to;
-      continue;
-    }
-    ++m;
-    if (cap == nullptr) {
-      mc.tick(m);
-    } else {
-      try {
-        mc.tick(m);
-      } catch (...) {
-        cap->error = std::current_exception();
-        cap->error_cycle = m;
-        return;
-      }
-    }
+  try {
+    mc.advance(m0, m1);
+  } catch (...) {
+    cap.error = std::current_exception();
+    cap.error_cycle = mc.last_cycle();
   }
 }
 
@@ -728,7 +799,7 @@ void GpuTop::run_mem_span_parallel(Cycle m0, Cycle m1) {
   if (self_enabled_) t0 = std::chrono::steady_clock::now();
   pool_->run([&](unsigned lane) {
     for (ChannelId ch = lane; ch < channels; ch += lanes)
-      advance_channel(ch, m0, m1, &captures_[ch]);
+      advance_channel(ch, m0, m1, captures_[ch]);
   });
   if (self_enabled_)
     self_stats_.pool_wall_seconds +=

@@ -113,6 +113,8 @@ class GpuTop {
   const FunctionalMemory& fmem() const { return fmem_; }
   const AddressMapper& mapper() const { return mapper_; }
   const Sm& sm(SmId id) const { return *sms_[id]; }
+  /// The SM -> partition switch (its input queues are the SMs' crossbar slots).
+  const icnt::Crossbar& request_crossbar() const { return req_xbar_; }
   unsigned num_sms() const { return static_cast<unsigned>(sms_.size()); }
   const GpuConfig& config() const { return cfg_; }
 
@@ -133,7 +135,10 @@ class GpuTop {
   ///   barrier_stall_seconds     = lane-pool capacity not spent advancing
   ///                               channels (lanes * pool wall - busy sum).
   /// The sm/icnt/partition sample sums decompose the sampled steps' wall
-  /// time; scale by 64 (or normalize by step_samples) for shares.
+  /// time; scale by 64 (or normalize by step_samples) for shares. The SM
+  /// slice is the awake SMs' ticks and sleep checks; the partition slice the
+  /// request crossbar and the partitions (controllers included); the icnt
+  /// slice the reply crossbar, reply delivery and the SM wake bookkeeping.
   struct WheelSelfStats {
     double run_wall_seconds = 0.0;
     double serial_seconds = 0.0;
@@ -152,10 +157,40 @@ class GpuTop {
   };
   WheelSelfStats self_stats() const;
 
+  /// Deterministic work counts of step(), kept out of every report so report
+  /// bytes do not depend on them. Parked ticks are credited when an SM wakes
+  /// (or at finalize()), so sm_ticks_slept lags while SMs sleep.
+  struct WorkCounts {
+    std::uint64_t sm_ticks = 0;                 ///< Sm::tick() calls.
+    std::uint64_t sm_ticks_slept = 0;           ///< Parked ticks skipped.
+    std::uint64_t mc_ticks = 0;                 ///< Controller ticks run in step().
+    std::uint64_t mc_ticks_skipped = 0;         ///< Idle memory cycles step() replayed.
+    std::uint64_t backlog_retries = 0;          ///< Stalled request packets retried.
+    std::uint64_t backlog_retries_skipped = 0;  ///< Retries skipped on an unchanged key.
+    std::uint64_t request_packets = 0;          ///< Request packets the partitions accepted.
+  };
+  const WorkCounts& work_counts() const { return work_; }
+
+  /// True while SM `id` is out of step()'s tick set: its next tick would be
+  /// parked (Sm::parked), so step() skips its ticks until a reply, a grant
+  /// from its request-crossbar input, or Sm::park_until() wakes it.
+  bool sm_sleeping(SmId id) const { return ((awake_[id / 64] >> (id % 64)) & 1) == 0; }
+
  private:
   struct PendingReply {
     Cycle ready = 0;
     icnt::Packet packet;
+  };
+
+  /// The inputs of a stalled request packet's verdict, reduced to counts
+  /// that move whenever any of them changes: controller queue size, miss
+  /// table size, deferred-enqueue queue size and L2 fills.
+  struct BacklogKey {
+    std::size_t queue = 0;
+    std::size_t waiting = 0;
+    std::size_t pending_mc = 0;
+    std::uint64_t fills = 0;
+    bool operator==(const BacklogKey&) const = default;
   };
 
   struct Partition {
@@ -169,6 +204,8 @@ class GpuTop {
     std::deque<icnt::Packet> input_backlog;   ///< Stalled request packets.
     std::deque<MemRequest> pending_mc;        ///< Waiting for MC queue space.
     std::deque<PendingReply> pending_replies; ///< Waiting for reply crossbar.
+    /// State at the backlog head's last (failed) attempt.
+    BacklogKey stalled_at;
     bool ams_ready = false;
 
     explicit Partition(const CacheGeometry& geo) : l2(geo) {}
@@ -176,6 +213,18 @@ class GpuTop {
 
   void partition_tick(Partition& p, unsigned idx, bool mem_ticked);
   void handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& stalled);
+  static BacklogKey backlog_key(const Partition& p);
+
+  // --- Sleeping SMs (see sm_sleeping()) ---
+
+  /// Takes `s` out of the tick set after its tick this cycle.
+  void sleep_sm(SmId s);
+  /// Returns `s` to the tick set, its first real tick at `first_tick`, and
+  /// credits the parked ticks it skipped. No-op for an awake SM.
+  void wake_sm(SmId s, Cycle first_tick);
+  /// End-of-step wakes for the next cycle: sleeping SMs the request crossbar
+  /// granted this cycle, and those whose park_until() falls due.
+  void wake_sms(Cycle first_tick);
 
   // --- Event-wheel / sharded driver (see run()) ---
 
@@ -183,6 +232,9 @@ class GpuTop {
   /// assuming the memory side stays quiet (cross-domain events are bounded
   /// separately by MemoryController::next_cross_event). Conservative: any
   /// in-flight crossbar packet, backlog, or due reply degrades to now + 1.
+  /// A sleeping SM needs no horizon of its own: it sleeps only while its
+  /// request-crossbar input is full, which already pins the answer to
+  /// now + 1, so no fast-forward ever skips a sleeping SM's wake.
   Cycle serial_next_event() const;
 
   /// Event-wheel main loop.
@@ -203,10 +255,10 @@ class GpuTop {
   /// serial prefix of the trace.
   void run_mem_span_parallel(Cycle m0, Cycle m1);
 
-  /// Advances one channel over (m0, m1], skipping its private quiet spans.
-  /// With `cap` non-null, an exception from tick() is parked in the capture
-  /// slot (stamped with the throwing cycle) instead of propagating.
-  void advance_channel(ChannelId ch, Cycle m0, Cycle m1, ChannelCapture* cap);
+  /// Advances one channel over (m0, m1] on a lane (MemoryController::
+  /// advance); an exception from tick() is parked in the capture slot,
+  /// stamped with the throwing cycle, instead of propagating.
+  void advance_channel(ChannelId ch, Cycle m0, Cycle m1, ChannelCapture& cap);
 
   void install_captures();
   void restore_captures();
@@ -225,6 +277,13 @@ class GpuTop {
   icnt::Crossbar req_xbar_;
   icnt::Crossbar reply_xbar_;
   std::vector<Partition> partitions_;
+
+  /// One bit per SM, ceil(num_sms/64) words: set while the SM is awake.
+  std::vector<std::uint64_t> awake_;
+  std::vector<Cycle> sleep_from_;  ///< Per SM: first cycle of its current sleep.
+  /// No sleeping SM's park_until() is earlier (may be stale-early).
+  Cycle next_sm_wake_ = kNeverCycle;
+  WorkCounts work_;
 
   ClockDivider divider_;
   Cycle core_cycle_ = 0;

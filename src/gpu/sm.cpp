@@ -183,8 +183,7 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
   // Parked: the last tick's only work was one memoised crossbar stall, and
   // none of its wake sources (a free slot, a reply, a due completion or
   // timer) has fired, so this tick would repeat it exactly.
-  if (now < park_until_ && warps_[stall_warp_].xbar_wait_epoch == mem_epoch_ &&
-      !req_xbar.can_push(id_)) {
+  if (parked(now, req_xbar)) {
     ++stall_cycles_;
     return;
   }

@@ -21,7 +21,10 @@
 // crossbar slot keeps its verdict until the epoch moves, so its re-polls
 // skip the L1 and MSHR probes. A tick whose only work was one such stall
 // parks the SM: later ticks just count the stall until a slot frees, a
-// reply arrives, or an L1-hit completion or compute timer falls due.
+// reply arrives, or an L1-hit completion or compute timer falls due. GpuTop
+// does not even call a parked tick: it takes the SM out of its tick set
+// (parked()) and credits the skipped stalls in bulk when one of those wake
+// sources fires (add_parked_ticks()).
 #pragma once
 
 #include <algorithm>
@@ -56,6 +59,22 @@ class Sm {
   /// `req_xbar` (port `id()`).
   void tick(Cycle now, icnt::Crossbar& req_xbar);
 
+  /// True iff tick(now) would be a parked tick: the last tick's only work
+  /// was one memoised crossbar stall and none of its wake sources has fired
+  /// since, so tick(now) would only count one more stall. The sources are a
+  /// free slot in the crossbar input, a reply (on_reply), and the head L1-hit
+  /// completion or compute timer falling due (park_until()).
+  bool parked(Cycle now, const icnt::Crossbar& req_xbar) const {
+    return now < park_until_ && warps_[stall_warp_].xbar_wait_epoch == mem_epoch_ &&
+           !req_xbar.can_push(id_);
+  }
+  /// First cycle at which a parked SM ticks for real if no reply arrives and
+  /// no crossbar slot frees first (kNeverCycle: only those can end it).
+  Cycle park_until() const { return park_until_; }
+  /// Credits `ticks` parked ticks the caller skipped instead of calling
+  /// tick(): each would have counted one stall and changed nothing else.
+  void add_parked_ticks(Cycle ticks) { stall_cycles_ += ticks; }
+
   /// Delivers a reply packet from the memory side.
   void on_reply(const icnt::Packet& packet);
 
@@ -68,7 +87,9 @@ class Sm {
   /// reply arrives in between (replies are external events the caller
   /// accounts for separately). While any warp is active — or a multi-line
   /// memory op owns the LSU — the SM ticks every cycle; that includes a
-  /// parked SM, whose ticks still count stalls. Otherwise the only
+  /// parked SM, whose ticks still count stalls (GpuTop skips those ticks
+  /// only while the SM's crossbar input is full, and then the crossbar
+  /// itself keeps the core side stepping every cycle). Otherwise the only
   /// self-wakes are the head L1-hit completion (FIFO: constant latency keeps
   /// it sorted) and the earliest compute timer. Skipping the gap is bit-exact
   /// because an idle tick() touches nothing: stall_cycles_ only advances on

@@ -1,5 +1,6 @@
 #include "icnt/crossbar.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/assert.hpp"
@@ -10,6 +11,8 @@ namespace {
 std::uint32_t wrap(std::uint32_t i, std::uint32_t capacity) {
   return i >= capacity ? i - capacity : i;
 }
+
+std::uint64_t bit(unsigned i) { return std::uint64_t{1} << (i % 64); }
 }  // namespace
 
 Crossbar::InputEntry& Crossbar::input_slot(unsigned src, std::uint32_t i) {
@@ -28,11 +31,15 @@ Crossbar::Crossbar(unsigned num_sources, unsigned num_destinations, unsigned lat
       capacity_(static_cast<std::uint32_t>(input_queue_capacity)),
       out_capacity_(static_cast<std::uint32_t>(output_queue_capacity)),
       words_((num_sources + 63) / 64),
+      dst_words_((num_destinations + 63) / 64),
       input_slots_(static_cast<std::size_t>(num_sources) * input_queue_capacity),
       inputs_(num_sources),
       output_slots_(static_cast<std::size_t>(num_destinations) * output_queue_capacity),
       outputs_(num_destinations),
       masks_(static_cast<std::size_t>(num_destinations) * words_, 0),
+      targeted_(dst_words_, 0),
+      buffered_dst_(dst_words_, 0),
+      granted_src_(words_, 0),
       rr_(num_destinations, 0) {
   LD_ASSERT(num_sources > 0 && num_destinations > 0 && input_queue_capacity > 0);
   LD_ASSERT(output_queue_capacity > 0);
@@ -46,7 +53,8 @@ bool Crossbar::can_push(unsigned src) const {
 
 void Crossbar::set_head_bit(unsigned src) {
   const unsigned dst = input_slot(src, inputs_[src].head).dst;
-  mask(dst)[src / 64] |= std::uint64_t{1} << (src % 64);
+  mask(dst)[src / 64] |= bit(src);
+  targeted_[dst / 64] |= bit(dst);
 }
 
 void Crossbar::push(unsigned src, unsigned dst, const Packet& packet) {
@@ -74,39 +82,52 @@ int Crossbar::next_grant(unsigned dst) const {
 }
 
 void Crossbar::tick(Cycle now) {
+  std::fill(granted_src_.begin(), granted_src_.end(), std::uint64_t{0});
   if (queued_ == 0) return;
   // Each destination grants at most one source per cycle, round-robin from
   // its own pointer (iSLIP-style fairness). Destinations go in index order
   // and a grant publishes the source's new head before the next destination
-  // looks, exactly as a scan of the queue heads would see it.
-  for (unsigned dst = 0; dst < num_dst_; ++dst) {
-    Ring& out = outputs_[dst];
-    if (out.size >= out_capacity_) continue;  // No credit: stall.
-    const int granted = next_grant(dst);
-    if (granted < 0) continue;
-    const unsigned src = static_cast<unsigned>(granted);
-    Ring& in = inputs_[src];
-    output_slot(dst, out.head + out.size) =
-        InFlight{input_slot(src, in.head).packet, now + latency_};
-    ++out.size;
-    ++buffered_;
-    mask(dst)[src / 64] &= ~(std::uint64_t{1} << (src % 64));
-    in.head = wrap(in.head + 1, capacity_);
-    if (--in.size > 0) set_head_bit(src);
-    --queued_;
-    rr_[dst] = src + 1 == num_src_ ? 0 : src + 1;
+  // looks, exactly as a scan of the queue heads would see it. The scan
+  // re-reads the live summary word after each grant, so a new head aimed at
+  // a later destination is still seen this tick.
+  for (unsigned w = 0; w < dst_words_; ++w) {
+    std::uint64_t pending = targeted_[w];
+    while (pending != 0) {
+      const unsigned b = static_cast<unsigned>(std::countr_zero(pending));
+      const unsigned dst = w * 64 + b;
+      if (outputs_[dst].size < out_capacity_) {  // Else no credit: stall.
+        const int src = next_grant(dst);
+        LD_ASSERT(src >= 0);  // A targeted destination has a head to grant.
+        grant(dst, static_cast<unsigned>(src), now);
+      }
+      pending = b == 63 ? 0 : targeted_[w] & (~std::uint64_t{0} << (b + 1));
+    }
   }
 }
 
-std::optional<Packet> Crossbar::pop(unsigned dst, Cycle now) {
-  LD_ASSERT(dst < num_dst_);
+void Crossbar::grant(unsigned dst, unsigned src, Cycle now) {
   Ring& out = outputs_[dst];
-  if (out.size == 0) return std::nullopt;
-  const InFlight& head = output_slot(dst, out.head);
-  if (head.ready > now) return std::nullopt;
-  Packet p = head.packet;
+  Ring& in = inputs_[src];
+  output_slot(dst, out.head + out.size) =
+      InFlight{input_slot(src, in.head).packet, now + latency_};
+  if (out.size++ == 0) buffered_dst_[dst / 64] |= bit(dst);
+  ++buffered_;
+  std::uint64_t* m = mask(dst);
+  m[src / 64] &= ~bit(src);
+  if (std::all_of(m, m + words_, [](std::uint64_t word) { return word == 0; }))
+    targeted_[dst / 64] &= ~bit(dst);
+  granted_src_[src / 64] |= bit(src);
+  in.head = wrap(in.head + 1, capacity_);
+  if (--in.size > 0) set_head_bit(src);
+  --queued_;
+  rr_[dst] = src + 1 == num_src_ ? 0 : src + 1;
+}
+
+Packet Crossbar::pop_head(unsigned dst) {
+  Ring& out = outputs_[dst];
+  Packet p = output_slot(dst, out.head).packet;
   out.head = wrap(out.head + 1, out_capacity_);
-  --out.size;
+  if (--out.size == 0) buffered_dst_[dst / 64] &= ~bit(dst);
   --buffered_;
   ++delivered_;
   return p;

@@ -8,14 +8,18 @@
 //
 // Implementation: every queue is a fixed ring preallocated at its capacity,
 // and each destination keeps a bitmask of the sources whose head-of-line
-// packet targets it, so a tick costs O(destinations) word operations rather
-// than a destinations x sources scan.
+// packet targets it, so a grant costs a few word operations rather than a
+// scan of the sources. A summary mask of the destinations some head targets
+// lets a tick visit only those, and two more masks tell the caller which
+// destinations hold packets to pop and which sources the last tick granted,
+// so neither side of the switch has to be polled port by port.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "mem/request.hpp"
 
@@ -58,11 +62,28 @@ class Crossbar {
   /// most one head-of-line packet (round-robin over sources); accepted
   /// packets become poppable `latency` cycles later. A grant exposes the
   /// source's next packet at once, so it can still be granted this cycle by
-  /// a later destination.
+  /// a later destination. Only destinations that some head targets are
+  /// visited; the rest could grant nothing.
   void tick(Cycle now);
 
   /// Next packet that has arrived at `dst` by `now`, if any.
-  std::optional<Packet> pop(unsigned dst, Cycle now);
+  std::optional<Packet> pop(unsigned dst, Cycle now) {
+    LD_ASSERT(dst < num_dst_);
+    const Ring& out = outputs_[dst];
+    if (out.size == 0 || output_slots_[std::size_t{dst} * out_capacity_ + out.head].ready > now)
+      return std::nullopt;
+    return pop_head(dst);
+  }
+
+  /// ceil(destinations/64) words: bit `dst` is set iff `dst` holds granted
+  /// packets not yet popped (arrived or still in flight). pop() on any other
+  /// destination returns nothing.
+  const std::vector<std::uint64_t>& buffered_destinations() const { return buffered_dst_; }
+
+  /// ceil(sources/64) words: bit `src` is set iff the last tick() granted a
+  /// packet of `src`, freeing a slot in its input queue. Grants are the only
+  /// way a full input gets room again.
+  const std::vector<std::uint64_t>& granted_sources() const { return granted_src_; }
 
   /// True when no packet is anywhere in the switch.
   bool idle() const { return queued_ == 0 && buffered_ == 0; }
@@ -88,6 +109,10 @@ class Crossbar {
   /// mask at or after rr_[dst], wrapping. -1 if no head targets `dst`.
   int next_grant(unsigned dst) const;
   void set_head_bit(unsigned src);
+  /// Grants `dst` the head packet of `src`.
+  void grant(unsigned dst, unsigned src, Cycle now);
+  /// Removes and returns the head of `dst`'s landing buffer (non-empty).
+  Packet pop_head(unsigned dst);
   /// Slot `i` (taken modulo the ring size, for i < 2x capacity) of a ring.
   InputEntry& input_slot(unsigned src, std::uint32_t i);
   InFlight& output_slot(unsigned dst, std::uint32_t i);
@@ -98,7 +123,8 @@ class Crossbar {
   unsigned latency_;
   std::uint32_t capacity_;
   std::uint32_t out_capacity_;
-  unsigned words_;  ///< 64-bit words per destination mask.
+  unsigned words_;      ///< 64-bit words per destination mask (over sources).
+  unsigned dst_words_;  ///< 64-bit words per mask over destinations.
 
   std::vector<InputEntry> input_slots_;  ///< num_src_ rings of capacity_.
   std::vector<Ring> inputs_;             ///< Per source.
@@ -107,6 +133,10 @@ class Crossbar {
   /// Per destination, words_ words: bit `src` is set iff source `src`'s
   /// head-of-line packet targets that destination.
   std::vector<std::uint64_t> masks_;
+  /// dst_words_ words: bit `dst` is set iff masks_ for `dst` is non-zero.
+  std::vector<std::uint64_t> targeted_;
+  std::vector<std::uint64_t> buffered_dst_;  ///< See buffered_destinations().
+  std::vector<std::uint64_t> granted_src_;   ///< See granted_sources().
   std::vector<unsigned> rr_;  ///< Per destination arbiter state.
   std::uint64_t delivered_ = 0;
   std::uint64_t queued_ = 0;    ///< Packets waiting in input queues.

@@ -1,6 +1,7 @@
 #include "mem/controller.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/checker.hpp"
 #include "check/recorder.hpp"
@@ -11,6 +12,23 @@
 namespace lazydram {
 
 using dram::CommandKind;
+
+namespace {
+
+std::uint64_t bank_bit(BankId b) { return std::uint64_t{1} << b; }
+
+/// Calls `visit(b)` for each set bit of `mask` in round-robin order from
+/// `start` (start, start + 1, ..., then the bits below start), until `visit`
+/// returns false.
+template <typename Visit>
+void for_each_bank_from(std::uint64_t mask, unsigned start, Visit&& visit) {
+  const std::uint64_t high = mask & (~std::uint64_t{0} << start);
+  for (std::uint64_t bits : {high, mask & ~high})
+    for (; bits != 0; bits &= bits - 1)
+      if (!visit(static_cast<BankId>(std::countr_zero(bits)))) return;
+}
+
+}  // namespace
 
 MemoryController::MemoryController(const GpuConfig& cfg, ChannelId id,
                                    const AddressMapper& mapper,
@@ -31,6 +49,8 @@ MemoryController::MemoryController(const GpuConfig& cfg, ChannelId id,
       bank_cols_(cfg.banks_per_channel, 0),
       bank_drops_(cfg.banks_per_channel, 0) {
   LD_ASSERT(scheduler_ != nullptr);
+  // queue_ has already checked num_banks_ <= 64, the width of the masks.
+  all_banks_ = num_banks_ == 64 ? ~std::uint64_t{0} : bank_bit(num_banks_) - 1;
 }
 
 void MemoryController::enqueue(MemRequest req, Cycle now_mem) {
@@ -50,11 +70,35 @@ void MemoryController::enqueue(MemRequest req, Cycle now_mem) {
   if (recorder_ != nullptr) recorder_->on_enqueue(req);
   // An arrival can change the bank's decision; both memos are stale, and so
   // are the pass-level wakes aggregated from them.
-  bank_retry_at_[req.loc.bank] = 0;
-  bank_none_until_[req.loc.bank] = 0;
+  unblock_bank(req.loc.bank);
+  queue_.push(std::move(req));
+}
+
+void MemoryController::block_bank(BankId b) {
+  blocked_ |= bank_bit(b);
+  blocked_expiry_ = std::min(blocked_expiry_, bank_memo(b));
+}
+
+void MemoryController::unblock_bank(BankId b) {
+  bank_retry_at_[b] = 0;
+  bank_none_until_[b] = 0;
+  blocked_ &= ~bank_bit(b);
   cmd_wake_ = 0;
   drop_wake_ = 0;
-  queue_.push(std::move(req));
+}
+
+std::uint64_t MemoryController::blocked_banks(Cycle now) {
+  if (now >= blocked_expiry_) {
+    blocked_expiry_ = kNeverCycle;
+    for (std::uint64_t bits = blocked_; bits != 0; bits &= bits - 1) {
+      const auto b = static_cast<BankId>(std::countr_zero(bits));
+      if (bank_memo(b) <= now)
+        blocked_ &= ~bank_bit(b);
+      else
+        blocked_expiry_ = std::min(blocked_expiry_, bank_memo(b));
+    }
+  }
+  return blocked_;
 }
 
 void MemoryController::complete_bursts(Cycle now) {
@@ -150,7 +194,7 @@ Decision MemoryController::decide(BankId b, Cycle now) {
     if (r != nullptr && queue_.row_group_all_approximable(b, row))
       return Decision::drop(r->id);
     drain_row_[b] = kInvalidRow;
-    --draining_banks_;
+    draining_ &= ~bank_bit(b);
   }
   const dram::Bank& bank = dram_.bank(b);
   const Decision d =
@@ -173,43 +217,39 @@ bool MemoryController::try_closed_row_precharge(BankId b, Cycle now) {
 }
 
 void MemoryController::issue_one_command(Cycle now) {
-  // Pass-level memo accounting: while the scan runs, record whether every
-  // bank with work is blocked by a per-bank memo and, if so, the earliest
-  // memo horizon. Until a command issues nothing moves the DRAM timing
-  // gates, so a fully-blocked pass is provably a no-op until that horizon
-  // and tick() skips it outright (cmd_wake_).
-  bool all_blocked = true;
-  Cycle min_wake = kNeverCycle;
-  for (unsigned i = 0; i < num_banks_; ++i) {
-    BankId b = rr_bank_ + i;
-    if (b >= num_banks_) b -= num_banks_;
+  // Candidate banks. An empty bank can yield no request command, so decide()
+  // is not consulted for it (policies return kNone without side effects for
+  // empty banks) — unless it still holds a drain: decide() retires the
+  // exhausted drain, and deferring that retirement to the next drop pass
+  // would let a same-row arrival join a drain this visit had already ended.
+  // A bank whose memo has not expired is skipped too: the DRAM gates a failed
+  // command waits on only move forward, a gated kNone holds until its
+  // horizon, and both memos are invalidated whenever the bank's pending set
+  // changes.
+  // Memos are only honored under open-row policy: a skipped decide() under
+  // the closed-row ablation could miss an idle precharge, so that pass
+  // visits every bank.
+  const bool open_row = row_policy_ == RowPolicy::kOpenRow;
+  std::uint64_t candidates = all_banks_;
+  std::uint64_t blocked = 0;
+  if (open_row) {
+    const std::uint64_t nonempty = queue_.nonempty_banks();
+    blocked = blocked_banks(now) & nonempty;
+    candidates = (nonempty & ~blocked) | (draining_ & ~nonempty);
+  }
 
-    // Schedulability skips: an empty bank can yield no request command, so
-    // decide() is not consulted (policies return kNone without side effects
-    // for empty banks). A draining bank is NOT skipped even when empty:
-    // decide() retires the exhausted drain, and deferring that retirement to
-    // the next drop pass would let a same-row arrival join a drain this
-    // visit had already ended. A bank whose chosen command failed legality
-    // is skipped until its retry memo expires: the DRAM gates it is waiting
-    // on only move forward, so it provably cannot issue before then, and the
-    // memo is invalidated whenever its pending set changes. Only the
-    // closed-row ablation's idle precharge can still apply here.
-    const bool empty = queue_.bank_size(b) == 0;
-    if (empty && drain_row_[b] == kInvalidRow) {
-      if (row_policy_ == RowPolicy::kClosedRow && try_closed_row_precharge(b, now))
-        return;
-      continue;
-    }
-    // Memos are only honored under open-row policy: a skipped decide()
-    // under the closed-row ablation could miss an idle precharge the
-    // unskipped path would have issued. The bank unblocks when the later
-    // of its two memos expires (each alone suffices to skip it).
-    if (!empty && row_policy_ == RowPolicy::kOpenRow) {
-      const Cycle memo = std::max(bank_retry_at_[b], bank_none_until_[b]);
-      if (now < memo) {
-        min_wake = std::min(min_wake, memo);
-        continue;
-      }
+  // Pass-level memo accounting: while the scan runs, record whether every
+  // visited bank ended up blocked by a per-bank memo. If so, until a command
+  // issues nothing moves the DRAM timing gates, so the pass is provably a
+  // no-op until the earliest memo horizon and tick() skips it outright
+  // (cmd_wake_).
+  bool all_blocked = true;
+  bool issued = false;
+  for_each_bank_from(candidates, rr_bank_, [&](BankId b) {
+    if (queue_.bank_size(b) == 0 && drain_row_[b] == kInvalidRow) {
+      // Closed-row only: the one command an idle bank can take.
+      issued = try_closed_row_precharge(b, now);
+      return !issued;
     }
 
     const Decision d = decide(b, now);
@@ -233,23 +273,24 @@ void MemoryController::issue_one_command(Cycle now) {
       Cycle retry_at = 0;
       if (advance_request(*req, now, &retry_at)) {
         rr_bank_ = b + 1 == num_banks_ ? 0 : b + 1;
-        return;
+        issued = true;
+        return false;
       }
       if (scheduler_->traits().memo_safe && retry_at > now) {
         bank_retry_at_[b] = retry_at;
-        min_wake = std::min(min_wake, retry_at);
+        block_bank(b);
       } else {
         // No usable bound (e.g. a bus-turnaround bubble, which
         // earliest_issue() excludes): re-scan this bank every cycle.
         all_blocked = false;
       }
-      continue;  // Command not legal this cycle; give other banks a chance.
+      return true;  // Command not legal this cycle; give other banks a chance.
     }
 
     if (scheduler_->traits().memo_safe && d.action == Decision::Action::kNone &&
         d.none_until > now) {
       bank_none_until_[b] = d.none_until;
-      min_wake = std::min(min_wake, d.none_until);
+      block_bank(b);
     } else {
       // kDrop gates and horizon-free kNone (drain retirement just ran) must
       // keep re-deciding every cycle.
@@ -264,12 +305,107 @@ void MemoryController::issue_one_command(Cycle now) {
 
     // Closed-row ablation: precharge banks left open with no work for the
     // open row. (Under open-row policy rows stay open until a conflict.)
-    if (row_policy_ == RowPolicy::kClosedRow && try_closed_row_precharge(b, now))
-      return;
+    if (!open_row && try_closed_row_precharge(b, now)) {
+      issued = true;
+      return false;
+    }
+    return true;
+  });
+  if (issued || !open_row || !all_blocked) return;
+  // Every bank with work is now memo-blocked: the ones skipped on entry and
+  // the visited ones that just set a memo.
+  Cycle wake = kNeverCycle;
+  for (std::uint64_t bits = blocked | (blocked_ & candidates); bits != 0; bits &= bits - 1)
+    wake = std::min(wake, bank_memo(static_cast<BankId>(std::countr_zero(bits))));
+  if (wake != kNeverCycle) cmd_wake_ = wake;
+}
+
+void MemoryController::run_drop_pass(Cycle now) {
+  // At most one AMS drop per cycle ("dropped sequentially in the following
+  // memory cycles", Section IV-C). Drops use the reply path, not the DRAM
+  // command bus, so a drop and a DRAM command can share a cycle. The scan
+  // starts past the bank that dropped last (like rr_bank_ in the command
+  // pass) so concurrent drains on different banks interleave their drops
+  // instead of the lowest-numbered bank always finishing first. It visits
+  // the banks with pending work or a drain to retire; the rest have nothing
+  // to drop.
+  //
+  // drop_wake_: a completed scan in which every visited bank was (or just
+  // became) age-gated proves the pass stays dropless until the earliest
+  // gate horizon — no decide() can reach the AMS admission check before
+  // then, so its time-varying state (coverage, Th_RBL, halted) cannot
+  // matter. Never set while a drain is active (a draining bank decides
+  // kDrop and clears the wake on execution) or after an early exit. For a
+  // policy that never drops, drops_live() is false, so the pass visits no
+  // bank and the wake stays 0.
+  //
+  // drops_live() can only change inside decide() (drain retirement, policy
+  // state), so it is evaluated once up front and again after each decide().
+  // The scan stops early when it turns false before the last position of
+  // the round-robin order.
+  if (!drops_live()) return;
+  const bool open_row = row_policy_ == RowPolicy::kOpenRow;
+  const BankId last = drop_rr_bank_ == 0 ? num_banks_ - 1 : drop_rr_bank_ - 1;
+  bool complete = true;
+  bool all_gated = true;
+  Cycle min_wake = kNeverCycle;
+  for_each_bank_from(queue_.nonempty_banks() | draining_, drop_rr_bank_, [&](BankId b) {
+    if (open_row && now < bank_none_until_[b]) {
+      min_wake = std::min(min_wake, bank_none_until_[b]);
+      return true;  // Age-gated: decide() is provably still kNone.
+    }
+    const Decision d = decide(b, now);
+    if (d.action == Decision::Action::kDrop) {
+      drop_request(b, d.req_id, now);
+      complete = false;
+      return false;
+    }
+    if (scheduler_->traits().memo_safe && d.action == Decision::Action::kNone &&
+        d.none_until > now) {
+      bank_none_until_[b] = d.none_until;
+      block_bank(b);
+      min_wake = std::min(min_wake, d.none_until);
+    } else {
+      all_gated = false;  // kServe / drain retirement: re-decide next cycle.
+    }
+    if (drops_live()) return true;
+    complete = b == last;
+    return false;
+  });
+  if (open_row && complete && all_gated && min_wake != kNeverCycle) drop_wake_ = min_wake;
+}
+
+void MemoryController::drop_request(BankId b, RequestId id, Cycle now) {
+  if (checker_ != nullptr) {
+    const MemRequest* victim = queue_.find(id);
+    LD_ASSERT(victim != nullptr);
+    checker_->on_drop(*victim, now, queue_);
   }
-  if (row_policy_ == RowPolicy::kOpenRow && all_blocked && min_wake != kNeverCycle &&
-      min_wake > now)
-    cmd_wake_ = min_wake;
+  MemRequest dropped = queue_.erase(id);
+  LD_ASSERT_MSG(dropped.is_read(), "AMS must only drop reads");
+  // The drop can change this bank's decision; both memos and the pass-level
+  // wakes aggregated from them are stale.
+  unblock_bank(b);
+  ++reads_dropped_;
+  ++bank_drops_[dropped.loc.bank];
+  if (dropped.tenant < tenant_reads_dropped_.size()) ++tenant_reads_dropped_[dropped.tenant];
+  scheduler_->on_drop(dropped);
+  // The drop admits its whole row group: arm (or continue) the drain.
+  if (drain_row_[b] == kInvalidRow) {
+    drain_row_[b] = dropped.loc.row;
+    draining_ |= bank_bit(b);
+  }
+  LD_ASSERT_MSG(drain_row_[b] == dropped.loc.row,
+                "a bank can only drain one row group at a time");
+  // After on_drop so the scheduler's stall closeout reaches the collector
+  // before the record finalizes.
+  if (lifecycle_ != nullptr) lifecycle_->on_drop(dropped.id, now);
+  if (recorder_ != nullptr) recorder_->on_drop(dropped.id, now);
+  if (tracer_ != nullptr)
+    tracer_->row_group_drop(now, id_, dropped.loc.bank, dropped.loc.row, dropped.id);
+  replies_.push_back(MemReply{dropped.id, dropped.line_addr, dropped.src_sm,
+                              /*approximate=*/true, now});
+  drop_rr_bank_ = b + 1 == num_banks_ ? 0 : b + 1;
 }
 
 void MemoryController::tick(Cycle now_mem) {
@@ -298,6 +434,8 @@ void MemoryController::tick(Cycle now_mem) {
     last_dms_delay_ = probe.dms_delay;
     std::fill(bank_none_until_.begin(), bank_none_until_.end(), Cycle{0});
     std::fill(bank_retry_at_.begin(), bank_retry_at_.end(), Cycle{0});
+    blocked_ = 0;
+    blocked_expiry_ = kNeverCycle;
     cmd_wake_ = 0;
     drop_wake_ = 0;
   }
@@ -306,94 +444,12 @@ void MemoryController::tick(Cycle now_mem) {
   // drop or advance, and under open-row policy no command to issue at all —
   // the whole per-bank machinery is skipped. The one empty-queue case with
   // drop-pass work is an active drain awaiting lazy retirement (the pass
-  // must keep visiting that bank), hence draining_banks_, not may_drop():
-  // budget headroom alone gives the pass nothing to visit.
+  // must keep visiting that bank), hence draining_, not may_drop(): budget
+  // headroom alone gives the pass nothing to visit.
   const bool idle_cycle =
-      queue_.empty() && draining_banks_ == 0 && row_policy_ == RowPolicy::kOpenRow;
+      queue_.empty() && draining_ == 0 && row_policy_ == RowPolicy::kOpenRow;
   if (!idle_cycle) {
-    // At most one AMS drop per cycle ("dropped sequentially in the following
-    // memory cycles", Section IV-C). Drops use the reply path, not the DRAM
-    // command bus, so a drop and a DRAM command can share a cycle. The scan
-    // starts past the bank that dropped last (like rr_bank_ in the command
-    // pass) so concurrent drains on different banks interleave their drops
-    // instead of the lowest-numbered bank always finishing first.
-    //
-    // drop_wake_: a completed scan in which every visited bank was (or just
-    // became) age-gated proves the pass stays dropless until the earliest
-    // gate horizon — no decide() can reach the AMS admission check before
-    // then, so its time-varying state (coverage, Th_RBL, halted) cannot
-    // matter. Never set while a drain is active (a draining bank decides
-    // kDrop and clears the wake on execution) or after an early exit. For a
-    // policy that never drops, drops_live() is false, so the scan visits no
-    // bank and the wake stays 0.
-    if (now_mem >= drop_wake_) {
-      bool all_gated = true;
-      Cycle min_wake = kNeverCycle;
-      bool dropped_one = false;
-      unsigned i = 0;
-      for (; drops_live() && i < num_banks_; ++i) {
-        BankId b = drop_rr_bank_ + i;
-        if (b >= num_banks_) b -= num_banks_;
-        if (queue_.bank_size(b) == 0 && drain_row_[b] == kInvalidRow)
-          continue;  // Nothing to drop and no drain state to retire.
-        if (row_policy_ == RowPolicy::kOpenRow && now_mem < bank_none_until_[b]) {
-          min_wake = std::min(min_wake, bank_none_until_[b]);
-          continue;  // Age-gated: decide() is provably still kNone.
-        }
-        const Decision d = decide(b, now_mem);
-        if (d.action != Decision::Action::kDrop) {
-          if (scheduler_->traits().memo_safe && d.action == Decision::Action::kNone &&
-              d.none_until > now_mem) {
-            bank_none_until_[b] = d.none_until;
-            min_wake = std::min(min_wake, d.none_until);
-          } else {
-            all_gated = false;  // kServe / drain retirement: re-decide next cycle.
-          }
-          continue;
-        }
-        if (checker_ != nullptr) {
-          const MemRequest* victim = queue_.find(d.req_id);
-          LD_ASSERT(victim != nullptr);
-          checker_->on_drop(*victim, now_mem, queue_);
-        }
-        MemRequest dropped = queue_.erase(d.req_id);
-        LD_ASSERT_MSG(dropped.is_read(), "AMS must only drop reads");
-        // The drop can change this bank's decision; both memos and the
-        // pass-level wakes aggregated from them are stale.
-        bank_retry_at_[b] = 0;
-        bank_none_until_[b] = 0;
-        cmd_wake_ = 0;
-        drop_wake_ = 0;
-        ++reads_dropped_;
-        ++bank_drops_[dropped.loc.bank];
-        if (dropped.tenant < tenant_reads_dropped_.size())
-          ++tenant_reads_dropped_[dropped.tenant];
-        scheduler_->on_drop(dropped);
-        // The drop admits its whole row group: arm (or continue) the drain.
-        if (drain_row_[b] == kInvalidRow) {
-          drain_row_[b] = dropped.loc.row;
-          ++draining_banks_;
-        }
-        LD_ASSERT_MSG(drain_row_[b] == dropped.loc.row,
-                      "a bank can only drain one row group at a time");
-        // After on_drop so the scheduler's stall closeout reaches the
-        // collector before the record finalizes.
-        if (lifecycle_ != nullptr) lifecycle_->on_drop(dropped.id, now_mem);
-        if (recorder_ != nullptr) recorder_->on_drop(dropped.id, now_mem);
-        if (tracer_ != nullptr)
-          tracer_->row_group_drop(now_mem, id_, dropped.loc.bank, dropped.loc.row,
-                                  dropped.id);
-        replies_.push_back(MemReply{dropped.id, dropped.line_addr, dropped.src_sm,
-                                    /*approximate=*/true, now_mem});
-        drop_rr_bank_ = b + 1 == num_banks_ ? 0 : b + 1;
-        dropped_one = true;
-        break;
-      }
-      if (row_policy_ == RowPolicy::kOpenRow && !dropped_one && i == num_banks_ &&
-          all_gated && min_wake != kNeverCycle)
-        drop_wake_ = min_wake;
-    }
-
+    if (now_mem >= drop_wake_) run_drop_pass(now_mem);
     if (now_mem >= cmd_wake_) issue_one_command(now_mem);
   }
 
@@ -411,24 +467,27 @@ Cycle MemoryController::next_event(Cycle now) const {
   // tick. In both cases every cycle must run for real.
   if (row_policy_ != RowPolicy::kOpenRow || recorder_ != nullptr) return now + 1;
 
+  // The passes first: on a busy cycle they answer now + 1 before any of the
+  // horizons below is asked.
   Cycle ev = next_burst_done_;  // Completion scan has work at this cycle.
-  ev = std::min(ev, scheduler_->next_tick_event(now));
-  if (checker_ != nullptr) ev = std::min(ev, checker_->next_tick_event(queue_, now));
-  if (sampler_ != nullptr) ev = std::min(ev, sampler_->next_boundary());
-
   if (queue_.empty()) {
     // The idle short-circuit skips both passes — unless a drain awaiting
     // lazy retirement keeps the drop pass visiting its bank (the visit
     // retires the drain, so that cycle is not a no-op). Budget headroom
     // alone (may_drop() on an empty queue) gives the pass nothing to visit
     // and stays skippable.
-    if (draining_banks_ > 0) return now + 1;
+    if (draining_ != 0) return now + 1;
   } else {
     // The command pass is parked until cmd_wake_ (and the drop pass until
     // drop_wake_); a wake at or before `now` means the pass runs next cycle.
-    ev = std::min(ev, cmd_wake_ > now ? cmd_wake_ : now + 1);
+    if (cmd_wake_ <= now + 1) return now + 1;
+    ev = std::min(ev, cmd_wake_);
     if (drops_live()) ev = std::min(ev, drop_wake_ > now ? drop_wake_ : now + 1);
   }
+  if (ev <= now + 1) return now + 1;
+  ev = std::min(ev, scheduler_->next_tick_event(now));
+  if (checker_ != nullptr) ev = std::min(ev, checker_->next_tick_event(queue_, now));
+  if (sampler_ != nullptr) ev = std::min(ev, sampler_->next_boundary());
   return ev > now ? ev : now + 1;
 }
 
@@ -469,11 +528,20 @@ void MemoryController::advance_idle(Cycle from, Cycle to) {
   }
 }
 
-std::optional<MemReply> MemoryController::pop_reply(Cycle now_mem) {
-  if (replies_.empty() || replies_.front().ready_cycle > now_mem) return std::nullopt;
-  MemReply r = replies_.front();
-  replies_.pop_front();
-  return r;
+std::uint64_t MemoryController::advance(Cycle from, Cycle to) {
+  std::uint64_t ticked = 0;
+  for (Cycle m = from; m < to;) {
+    const Cycle ev = next_event(m);
+    if (ev > m + 1) {
+      const Cycle idle_to = std::min(ev - 1, to);
+      advance_idle(m, idle_to);
+      m = idle_to;
+      continue;
+    }
+    tick(++m);
+    ++ticked;
+  }
+  return ticked;
 }
 
 void MemoryController::inject_command_for_test(dram::CommandKind kind, BankId bank,

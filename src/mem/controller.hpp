@@ -14,6 +14,7 @@
 // used only by ablation benches.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -86,8 +87,24 @@ class MemoryController {
   /// proven no-op inside the span.
   void advance_idle(Cycle from, Cycle to);
 
+  /// Advances over memory cycles (from, to], `from` being the last cycle
+  /// ticked or replayed: each cycle next_event() cannot prove idle is
+  /// ticked, each maximal idle run is replayed by one advance_idle().
+  /// Bit-identical to tick() on every cycle of the span. Returns the number
+  /// of cycles actually ticked. If tick() throws, last_cycle() is the cycle
+  /// that threw.
+  std::uint64_t advance(Cycle from, Cycle to);
+
+  /// The last memory cycle ticked or replayed (0 before the first).
+  Cycle last_cycle() const { return end_mem_ == 0 ? 0 : end_mem_ - 1; }
+
   /// Pops the next ready reply, if any became ready at or before `now_mem`.
-  std::optional<MemReply> pop_reply(Cycle now_mem);
+  std::optional<MemReply> pop_reply(Cycle now_mem) {
+    if (replies_.empty() || replies_.front().ready_cycle > now_mem) return std::nullopt;
+    MemReply r = replies_.front();
+    replies_.pop_front();
+    return r;
+  }
 
   /// True once every enqueued request has been served or dropped and all
   /// replies have been drained.
@@ -196,10 +213,26 @@ class MemoryController {
 
   /// True while the drop pass can find work: an active drain, or a policy
   /// that may admit a fresh drop.
-  bool drops_live() const { return draining_banks_ > 0 || scheduler_->may_drop(); }
+  bool drops_live() const { return draining_ != 0 || scheduler_->may_drop(); }
 
   void complete_bursts(Cycle now);
+  /// At most one AMS drop (see tick()).
+  void run_drop_pass(Cycle now);
+  /// Executes the drop of `id` from bank `b` and arms or continues the
+  /// bank's row-group drain.
+  void drop_request(BankId b, RequestId id, Cycle now);
   void issue_one_command(Cycle now);
+
+  /// The later of bank `b`'s two memos: the command pass skips it until then.
+  Cycle bank_memo(BankId b) const { return std::max(bank_retry_at_[b], bank_none_until_[b]); }
+  /// Marks `b` memo-blocked after one of its memos was set past now.
+  void block_bank(BankId b);
+  /// Clears both memos of `b` (its pending set changed).
+  void unblock_bank(BankId b);
+  /// blocked_ with every bit whose memo has expired by `now` cleared. The
+  /// expiry is lazy: the mask is only re-scanned once the earliest memo it
+  /// holds falls due.
+  std::uint64_t blocked_banks(Cycle now);
 
   /// Closed-row ablation: precharges `b` if its open row has no pending work
   /// left; returns true if the precharge issued (consuming the command bus).
@@ -238,9 +271,9 @@ class MemoryController {
   /// Armed by an executed drop, retired lazily by decide() on the bank's next
   /// visit once the group empties or gains a non-approximable request.
   std::vector<RowId> drain_row_;
-  /// Banks with an active drain. While nonzero, even an empty queue leaves
-  /// the drop pass work: retiring the drain.
-  unsigned draining_banks_ = 0;
+  /// Bit b is set iff drain_row_[b] is armed. While nonzero, even an empty
+  /// queue leaves the drop pass work: retiring the drain.
+  std::uint64_t draining_ = 0;
   /// Per-bank retry memo: the command pass skips a bank until this cycle
   /// after its chosen command failed legality (earliest_issue lower bound).
   /// Invalidated (set to 0) whenever the bank's pending set changes —
@@ -252,6 +285,16 @@ class MemoryController {
   /// the DMS delay changes (the horizon assumed it constant). Only honored
   /// under open-row policy, where a skipped decide() has no command to miss.
   std::vector<Cycle> bank_none_until_;
+  /// Bit b is set iff bank_memo(b) > the current cycle, once expired bits
+  /// are cleared (blocked_banks()). Every memo set past now sets its bit;
+  /// every memo invalidation clears it.
+  std::uint64_t blocked_ = 0;
+  /// Earliest memo among the bits of blocked_ when it was last scanned (or
+  /// set since): no bit can expire before it.
+  Cycle blocked_expiry_ = kNeverCycle;
+  /// Bit mask of every bank of the channel (the closed-row command pass
+  /// visits them all).
+  std::uint64_t all_banks_ = 0;
   /// DMS delay observed last tick (bank_none_until_ invalidation edge).
   Cycle last_dms_delay_ = 0;
   /// Whole-pass memos: when a full scan finds every non-empty bank blocked

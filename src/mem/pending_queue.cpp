@@ -13,6 +13,7 @@ bool approximable_read(const MemRequest& req) {
 
 PendingQueue::PendingQueue(std::size_t capacity, unsigned num_banks)
     : capacity_(capacity), pool_(capacity), banks_(num_banks), group_pool_(capacity) {
+  LD_ASSERT_MSG(num_banks <= 64, "the non-empty bank mask is one 64-bit word");
   free_.reserve(capacity);
   group_free_.reserve(capacity);
   // Hand out pool slots front-to-back on first use (LIFO free list seeded in
@@ -53,6 +54,7 @@ void PendingQueue::push(MemRequest req) {
     b.head = n;
   b.tail = n;
   ++b.size;
+  nonempty_ |= std::uint64_t{1} << n->req.loc.bank;
 
   // Row group: find-or-create, append, bump aggregates.
   const std::uint64_t key = group_key(n->req.loc.bank, n->req.loc.row);
@@ -105,7 +107,7 @@ MemRequest PendingQueue::erase(RequestId id) {
     n->bank_next->bank_prev = n->bank_prev;
   else
     b.tail = n->bank_prev;
-  --b.size;
+  if (--b.size == 0) nonempty_ &= ~(std::uint64_t{1} << n->req.loc.bank);
 
   // Row group: unlink, decay aggregates, retire the group when it empties.
   RowGroup& g = *n->group;

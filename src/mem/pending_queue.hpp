@@ -195,6 +195,10 @@ class PendingQueue {
   /// a bank with no pending requests has nothing to decide.
   unsigned bank_size(BankId bank) const { return banks_[bank].size; }
 
+  /// Bit `b` is set iff bank_size(b) > 0. Lets the controller's per-bank
+  /// passes visit only banks with work (at most 64 banks).
+  std::uint64_t nonempty_banks() const { return nonempty_; }
+
   /// Lightweight arrival-ordered view over one bank's pending requests
   /// (iterates the intrusive per-bank list; yields const MemRequest*).
   class BankRange {
@@ -276,6 +280,7 @@ class PendingQueue {
   Node* tail_ = nullptr;
 
   std::vector<BankIndex> banks_;
+  std::uint64_t nonempty_ = 0;  ///< See nonempty_banks().
   /// RowGroups live in a fixed pool (at most one per queued request), so the
   /// group pointers held by nodes stay stable across index mutations.
   std::vector<RowGroup> group_pool_;

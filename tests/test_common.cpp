@@ -252,6 +252,15 @@ TEST(GpuConfig, DefaultsValidate) {
   EXPECT_EQ(cfg.timing.tRC, 40u);
 }
 
+TEST(GpuConfig, RejectsMoreThan64BanksPerChannel) {
+  // The controller's bank masks are one 64-bit word.
+  GpuConfig cfg;
+  cfg.banks_per_channel = 128;
+  EXPECT_DEATH(cfg.validate(), "banks_per_channel must be at most 64");
+  cfg.banks_per_channel = 64;
+  cfg.validate();  // The largest legal value.
+}
+
 TEST(GpuConfig, DescribeMentionsKeyParameters) {
   GpuConfig cfg;
   bool found_timing = false;

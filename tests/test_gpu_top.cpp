@@ -242,6 +242,105 @@ TEST(GpuTop, PinnedIssueAndStallCountsOnMini) {
   }
 }
 
+TEST(GpuTop, PinnedWorkCountsOnMini) {
+  // Deterministic work counts of step(), pinned like the stall counts above
+  // on the same configurations: a change that skips or adds per-cycle work
+  // shows here as an exact diff, with no timing noise.
+  struct Pin {
+    std::uint32_t mshr_entries;
+    core::SchemeKind kind;
+    std::vector<std::uint64_t> counts;  ///< In WorkCounts field order.
+  };
+  const Pin pins[] = {
+      {64, core::SchemeKind::kBaseline, {992985, 286665, 110267, 58795, 7324, 25855, 28791}},
+      {64, core::SchemeKind::kDynCombo, {1040369, 95101, 100637, 49627, 5663, 15976, 28791}},
+      {12, core::SchemeKind::kBaseline, {1097569, 165461, 110643, 56229, 3673, 15441, 28791}},
+      {12, core::SchemeKind::kDynCombo, {1241323, 36707, 106503, 62307, 1445, 5518, 28791}},
+  };
+  MiniWorkload wl;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(core::scheme_name(pin.kind)) + " mshr=" +
+                 std::to_string(pin.mshr_entries));
+    GpuConfig cfg;
+    cfg.l1.mshr_entries = pin.mshr_entries;
+    const core::SchemeSpec spec = core::make_scheme_spec(pin.kind, cfg.scheme);
+    gpu::GpuTop top(cfg, wl, lazy_factory(cfg, spec));
+    ASSERT_TRUE(top.run(20'000'000));
+    const gpu::GpuTop::WorkCounts& w = top.work_counts();
+    const std::vector<std::uint64_t> counts = {
+        w.sm_ticks,        w.sm_ticks_slept,          w.mc_ticks,       w.mc_ticks_skipped,
+        w.backlog_retries, w.backlog_retries_skipped, w.request_packets};
+    EXPECT_EQ(counts, pin.counts);
+  }
+}
+
+TEST(GpuTop, SleepingSmsSatisfyTheParkPredicate) {
+  // Steps a mini run cycle by cycle. After every step an SM is asleep exactly
+  // when its next tick would be a parked tick, and each wake source — a free
+  // crossbar slot, a reply, a due completion or timer — ends some sleep.
+  MiniWorkload wl;
+  GpuConfig cfg;
+  const core::SchemeSpec spec = core::make_scheme_spec(core::SchemeKind::kBaseline, cfg.scheme);
+  gpu::GpuTop top(cfg, wl, lazy_factory(cfg, spec));
+  std::vector<bool> was_asleep(top.num_sms(), false);
+  std::uint64_t sleeps = 0, grant_wakes = 0, timer_wakes = 0, reply_wakes = 0;
+  while (top.core_cycles() < 20'000'000) {
+    top.step();
+    const Cycle next = top.core_cycles() + 1;
+    for (SmId s = 0; s < top.num_sms(); ++s) {
+      const bool asleep = top.sm_sleeping(s);
+      ASSERT_EQ(asleep, top.sm(s).parked(next, top.request_crossbar()))
+          << "SM " << s << " after cycle " << top.core_cycles();
+      if (asleep && !was_asleep[s]) ++sleeps;
+      if (!asleep && was_asleep[s]) {
+        // Only a grant frees a slot, and a due park_until() wakes on its own;
+        // otherwise the wake was a reply.
+        if (top.request_crossbar().can_push(s))
+          ++grant_wakes;
+        else if (top.sm(s).park_until() <= next)
+          ++timer_wakes;
+        else
+          ++reply_wakes;
+      }
+      was_asleep[s] = asleep;
+    }
+    if ((top.core_cycles() & 1023) == 0 && top.finished()) break;
+  }
+  ASSERT_TRUE(top.finished());
+  top.finalize();
+  // Stepped every cycle, each core cycle is one tick or one slept tick per
+  // SM, and each memory cycle one tick or one skip per channel.
+  const gpu::GpuTop::WorkCounts& w = top.work_counts();
+  EXPECT_EQ(w.sm_ticks + w.sm_ticks_slept, top.core_cycles() * top.num_sms());
+  EXPECT_EQ(w.mc_ticks + w.mc_ticks_skipped, top.mem_cycles() * top.num_channels());
+  EXPECT_GT(sleeps, 0u);
+  EXPECT_GT(grant_wakes, 0u);
+  EXPECT_GT(timer_wakes, 0u);
+  EXPECT_GT(reply_wakes, 0u);
+  for (SmId s = 0; s < top.num_sms(); ++s) EXPECT_FALSE(top.sm_sleeping(s));
+}
+
+TEST(GpuTop, L2CountsOneAccessPerAcceptedRequestPacket) {
+  // A 4-entry L2 miss table makes request packets stall in the partition
+  // backlog and retry. Only the attempt that serves a packet (hit, merge or
+  // allocate) may count as an L2 access, so accesses equal the packets the
+  // partitions took from the request crossbar.
+  MiniWorkload wl;
+  GpuConfig cfg;
+  cfg.l2.mshr_entries = 4;
+  const core::SchemeSpec spec = core::make_scheme_spec(core::SchemeKind::kDynCombo, cfg.scheme);
+  gpu::GpuTop top(cfg, wl, lazy_factory(cfg, spec));
+  ASSERT_TRUE(top.run(20'000'000));
+  EXPECT_GT(top.work_counts().backlog_retries, 0u);
+  std::uint64_t accesses = 0;
+  for (ChannelId ch = 0; ch < top.num_channels(); ++ch) {
+    EXPECT_EQ(top.l2(ch).accesses(), top.l2(ch).hits() + top.l2(ch).misses());
+    accesses += top.l2(ch).accesses();
+  }
+  EXPECT_EQ(accesses, top.request_crossbar().delivered());
+  EXPECT_EQ(accesses, top.work_counts().request_packets);
+}
+
 TEST(Simulator, EndToEndSchemeOrderingOnScp) {
   // The paper's headline ordering on one real app: combo <= AMS < baseline
   // activations, and AMS must not hurt IPC.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 
 #include "common/rng.hpp"
@@ -139,6 +140,7 @@ class ReferenceCrossbar {
   }
 
   void tick(Cycle now) {
+    granted.assign(num_src_, false);
     std::vector<unsigned> granted_src(num_dst_, num_src_);
     for (unsigned dst = 0; dst < num_dst_; ++dst) {
       const bool pending = std::any_of(inputs_.begin(), inputs_.end(), [&](const auto& q) {
@@ -156,6 +158,7 @@ class ReferenceCrossbar {
         for (unsigned d = 0; d < dst; ++d)
           if (granted_src[d] == src) ++same_tick_regrants;
         granted_src[dst] = src;
+        granted[src] = true;
         outputs_[dst].push_back(InFlight{q.front().packet, now + latency_});
         q.pop_front();
         rr_[dst] = (src + 1) % num_src_;
@@ -183,6 +186,22 @@ class ReferenceCrossbar {
 
   std::uint64_t delivered() const { return delivered_; }
 
+  /// Destinations holding granted packets not yet popped.
+  std::vector<unsigned> buffered_destinations() const {
+    std::vector<unsigned> out;
+    for (unsigned dst = 0; dst < num_dst_; ++dst)
+      if (!outputs_[dst].empty()) out.push_back(dst);
+    return out;
+  }
+  /// Sources granted by the last tick.
+  std::vector<unsigned> granted_sources() const {
+    std::vector<unsigned> out;
+    for (unsigned src = 0; src < granted.size(); ++src)
+      if (granted[src]) out.push_back(src);
+    return out;
+  }
+
+  std::vector<bool> granted;             ///< Per source: granted by the last tick.
   std::uint64_t credit_stalls = 0;       ///< A head waited on a full output.
   std::uint64_t wraps = 0;               ///< Grant wrapped past the last source.
   std::uint64_t same_tick_regrants = 0;  ///< Source granted twice in one tick.
@@ -218,6 +237,15 @@ struct FuzzShape {
   unsigned pop_percent;    ///< Chance a destination drains in a cycle.
 };
 
+/// The set bits of a multi-word mask, ascending.
+std::vector<unsigned> set_bits(const std::vector<std::uint64_t>& mask) {
+  std::vector<unsigned> out;
+  for (unsigned w = 0; w < mask.size(); ++w)
+    for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1)
+      out.push_back(w * 64 + static_cast<unsigned>(std::countr_zero(bits)));
+  return out;
+}
+
 /// Drives the switch and the reference with one seeded push/tick/pop
 /// sequence, checks every observable after every call, then checks the run
 /// reached every case the masks must get right. Destinations are drawn
@@ -249,6 +277,9 @@ void fuzz_shape(const FuzzShape& shape, std::uint64_t seed, Cycle cycles) {
     dut.tick(now);
     ref.tick(now);
     ASSERT_TRUE(same_state()) << "after tick at cycle " << now;
+    ASSERT_EQ(set_bits(dut.granted_sources()), ref.granted_sources()) << "cycle " << now;
+    ASSERT_EQ(set_bits(dut.buffered_destinations()), ref.buffered_destinations())
+        << "cycle " << now;
     for (unsigned dst = 0; dst < shape.destinations; ++dst) {
       if (rng.next_below(100) >= shape.pop_percent) continue;
       const unsigned budget = 1 + static_cast<unsigned>(rng.next_below(3));
@@ -262,6 +293,8 @@ void fuzz_shape(const FuzzShape& shape, std::uint64_t seed, Cycle cycles) {
         ASSERT_EQ(got->src_sm, want->src_sm);
       }
     }
+    ASSERT_EQ(set_bits(dut.buffered_destinations()), ref.buffered_destinations())
+        << "after pops at cycle " << now;
   }
   EXPECT_GT(ref.delivered(), 1000u);
   EXPECT_GT(ref.credit_stalls, 0u);
@@ -287,11 +320,13 @@ TEST(CrossbarFuzz, MatchesReferenceScan) {
 
 TEST(CrossbarFuzz, MatchesReferenceScanBeyond64Sources) {
   // Multi-word masks: 130 sources span three words, the last partly used;
-  // 64 and 65 sit on either side of the first word boundary.
+  // 64 and 65 sit on either side of the first word boundary. 70 and 130
+  // destinations do the same for the destination-side masks.
   const FuzzShape shapes[] = {
       {130, 5, 3, 4, 4, 40, 60},
       {64, 3, 1, 2, 2, 20, 50},
       {65, 70, 2, 2, 3, 30, 40},
+      {130, 130, 2, 2, 2, 60, 40},  // Multi-word masks on both sides.
   };
   for (const FuzzShape& shape : shapes) {
     fuzz_shape(shape, 7, 3000);

@@ -31,8 +31,11 @@
 #include "common/rng.hpp"
 #include "core/lazy_scheduler.hpp"
 #include "core/scheduler_registry.hpp"
+#include "dram/address.hpp"
+#include "mem/controller.hpp"
 #include "mem/pending_queue.hpp"
 #include "mem/scheduler.hpp"
+#include "telemetry/trace.hpp"
 #include "telemetry/window_sampler.hpp"
 
 namespace lazydram {
@@ -249,6 +252,179 @@ TEST_P(PolicyConformance, ContractHoldsUnderSeededFuzzStream) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyConformance,
+                         ::testing::ValuesIn(conformance_cases()),
+                         [](const ::testing::TestParamInfo<PolicyCase>& info) {
+                           std::string n = info.param.name;
+                           for (char& c : n)
+                             if (c == '-') c = '_';
+                           return n;
+                         });
+
+// --- Controller idle skip -----------------------------------------------
+//
+// GpuTop::step() advances each controller through MemoryController::advance,
+// which replays a cycle next_event() proves idle with advance_idle() instead
+// of ticking it, and the worker lanes of the event wheel advance channels over
+// whole spans the same way. Both must be bit-identical to tick() on every
+// cycle, for every policy. One seeded stream of bursts and idle gaps feeds
+// three controllers: `ref` ticks every cycle, `step` advances one cycle at a
+// time, `span` advances only from one arrival to the next.
+
+/// In-memory trace sink: protocol events and window samples.
+struct CaptureSink final : telemetry::TraceSink {
+  std::vector<telemetry::TraceEvent> events;
+  std::vector<telemetry::WindowSample> windows;
+  void on_event(const telemetry::TraceEvent& e) override { events.push_back(e); }
+  void on_window(const telemetry::WindowSample& w) override { windows.push_back(w); }
+};
+
+struct ObservedChannel {
+  ObservedChannel(const PolicyCase& pc, const GpuConfig& cfg, const AddressMapper& mapper) {
+    std::unique_ptr<Scheduler> sched = build(pc, cfg);
+    if (auto* lazy = dynamic_cast<core::LazyScheduler*>(sched.get()))
+      lazy->set_telemetry(&tracer, 0);
+    mc = std::make_unique<MemoryController>(cfg, 0, mapper, std::move(sched));
+    tracer.set_sink(&sink);
+    mc->set_tracer(&tracer);
+    mc->enable_window_sampling(cfg.scheme.profile_window, &tracer);
+  }
+  void pop_replies(Cycle now) {
+    while (auto r = mc->pop_reply(now)) replies.push_back(*r);
+  }
+
+  CaptureSink sink;
+  telemetry::Tracer tracer;
+  std::unique_ptr<MemoryController> mc;
+  std::vector<MemReply> replies;
+};
+
+/// Everything the command engine changes when it issues a command or drops a
+/// request, at the current cycle.
+std::vector<std::uint64_t> engine_state(const MemoryController& mc) {
+  const dram::DramChannel& ch = mc.channel();
+  std::vector<std::uint64_t> v = {ch.activations(),      ch.energy().read_accesses(),
+                                  ch.energy().write_accesses(), ch.bus_busy_cycles(),
+                                  mc.reads_served(),     mc.writes_served(),
+                                  mc.reads_dropped(),    mc.queue().size()};
+  for (BankId b = 0; b < ch.num_banks(); ++b)
+    v.push_back(ch.bank(b).row_open() ? ch.bank(b).open_row() : kInvalidRow);
+  return v;
+}
+
+void expect_same_run(const ObservedChannel& ref, const ObservedChannel& dut,
+                     const std::string& what) {
+  SCOPED_TRACE(what);
+  const MemoryController& a = *ref.mc;
+  const MemoryController& b = *dut.mc;
+  EXPECT_EQ(engine_state(a), engine_state(b));
+  EXPECT_EQ(a.reads_received(), b.reads_received());
+  EXPECT_EQ(a.writes_received(), b.writes_received());
+  EXPECT_EQ(a.read_latency_hist().total(), b.read_latency_hist().total());
+  EXPECT_DOUBLE_EQ(a.read_latency().mean(), b.read_latency().mean());
+
+  ASSERT_EQ(ref.replies.size(), dut.replies.size());
+  for (std::size_t i = 0; i < ref.replies.size(); ++i) {
+    EXPECT_EQ(ref.replies[i].id, dut.replies[i].id) << "reply " << i;
+    EXPECT_EQ(ref.replies[i].ready_cycle, dut.replies[i].ready_cycle) << "reply " << i;
+    EXPECT_EQ(ref.replies[i].approximate, dut.replies[i].approximate) << "reply " << i;
+  }
+
+  ASSERT_EQ(ref.sink.events.size(), dut.sink.events.size());
+  for (std::size_t i = 0; i < ref.sink.events.size(); ++i) {
+    const telemetry::TraceEvent& x = ref.sink.events[i];
+    const telemetry::TraceEvent& y = dut.sink.events[i];
+    EXPECT_TRUE(x.kind == y.kind && x.cycle == y.cycle && x.bank == y.bank && x.a == y.a &&
+                x.b == y.b && x.f == y.f)
+        << "trace event " << i << " at cycle " << x.cycle;
+  }
+  ASSERT_EQ(ref.sink.windows.size(), dut.sink.windows.size());
+  for (std::size_t i = 0; i < ref.sink.windows.size(); ++i) {
+    const telemetry::WindowSample& x = ref.sink.windows[i];
+    const telemetry::WindowSample& y = dut.sink.windows[i];
+    EXPECT_EQ(x.end_cycle, y.end_cycle) << "window " << i;
+    EXPECT_EQ(x.ticks, y.ticks) << "window " << i;
+    EXPECT_EQ(x.delay_sum, y.delay_sum) << "window " << i;
+    EXPECT_EQ(x.th_rbl_sum, y.th_rbl_sum) << "window " << i;
+    EXPECT_EQ(x.bus_busy_cycles, y.bus_busy_cycles) << "window " << i;
+    EXPECT_EQ(x.drops, y.drops) << "window " << i;
+    EXPECT_DOUBLE_EQ(x.queue_occupancy, y.queue_occupancy) << "window " << i;
+    EXPECT_DOUBLE_EQ(x.energy_nj, y.energy_nj) << "window " << i;
+  }
+
+  const dram::PowerAccountant* pa = a.channel().power();
+  const dram::PowerAccountant* pb = b.channel().power();
+  ASSERT_EQ(pa == nullptr, pb == nullptr);
+  if (pa != nullptr) {
+    EXPECT_DOUBLE_EQ(pa->channel_energy().total_nj(), pb->channel_energy().total_nj());
+    EXPECT_DOUBLE_EQ(pa->channel_energy().background_nj, pb->channel_energy().background_nj);
+    EXPECT_EQ(pa->channel_active_cycles(), pb->channel_active_cycles());
+  }
+}
+
+class ControllerIdleSkip : public ::testing::TestWithParam<PolicyCase> {};
+
+TEST_P(ControllerIdleSkip, AdvanceMatchesTickingEveryCycle) {
+  const PolicyCase& pc = GetParam();
+  GpuConfig cfg;
+  if (!pc.spec_text.empty()) {
+    std::string err;
+    ASSERT_TRUE(core::parse_policy_spec(pc.spec_text, cfg, &err)) << err;
+  }
+  cfg.validate();
+  const AddressMapper mapper(cfg);
+  ObservedChannel ref(pc, cfg, mapper);
+  ObservedChannel step(pc, cfg, mapper);
+  ObservedChannel span(pc, cfg, mapper);
+
+  constexpr Cycle kStreamCycles = 40'000;
+  constexpr Cycle kEndCycle = 60'000;
+  Rng rng(0x5EEDull);
+  RequestId next_id = 1;
+  Cycle burst_end = 0;
+  Cycle next_burst = 1;
+  Cycle span_at = 0;  // Last cycle `span` was advanced to.
+  std::uint64_t step_ticked = 0;
+  for (Cycle m = 1; m <= kEndCycle; ++m) {
+    ref.mc->tick(m);
+    step_ticked += step.mc->advance(m - 1, m);
+
+    // Bursts of Bernoulli arrivals, a few hundred cycles long, separated by
+    // idle gaps long enough for the queue to drain.
+    if (m < kStreamCycles && m >= next_burst) {
+      burst_end = m + 100 + rng.next_below(300);
+      next_burst = burst_end + 200 + rng.next_below(2000);
+    }
+    if (m < burst_end && !ref.mc->queue().full() && rng.next_bool(0.3)) {
+      MemRequest r;
+      r.id = next_id++;
+      r.kind = rng.next_bool(0.15) ? AccessKind::kWrite : AccessKind::kRead;
+      r.approximable = r.is_read() && rng.next_bool(0.7);
+      r.src_sm = r.is_read() ? static_cast<SmId>(rng.next_below(4)) : MemRequest::kNoSm;
+      const auto bank = static_cast<BankId>(rng.next_below(cfg.banks_per_channel));
+      const RowId row = rng.next_bool(0.5) ? 0 : 1 + rng.next_below(5);
+      r.line_addr = mapper.compose(
+          0, bank, row, static_cast<std::uint32_t>(rng.next_below(16) * kLineBytes));
+      span.mc->advance(span_at, m);
+      span_at = m;
+      for (ObservedChannel* c : {&ref, &step, &span}) c->mc->enqueue(r, m);
+    }
+    ref.pop_replies(m);
+    step.pop_replies(m);
+    ASSERT_EQ(engine_state(*ref.mc), engine_state(*step.mc)) << pc.name << " cycle " << m;
+  }
+  span.mc->advance(span_at, kEndCycle);
+  span.pop_replies(kEndCycle);
+  for (ObservedChannel* c : {&ref, &step, &span}) c->mc->finalize();
+
+  EXPECT_TRUE(ref.mc->idle()) << pc.name << ": stream did not drain";
+  EXPECT_GT(ref.replies.size(), 1000u) << pc.name;
+  // The skip must actually have happened, inside bursts as well as between.
+  EXPECT_LT(step_ticked, kEndCycle / 2) << pc.name;
+  expect_same_run(ref, step, pc.name + ": one cycle at a time");
+  expect_same_run(ref, span, pc.name + ": arrival to arrival");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, ControllerIdleSkip,
                          ::testing::ValuesIn(conformance_cases()),
                          [](const ::testing::TestParamInfo<PolicyCase>& info) {
                            std::string n = info.param.name;

@@ -195,6 +195,11 @@ TEST(QueueFuzz, MatchesNaiveModelOverRandomOps) {
     }
     EXPECT_EQ(queue.bank_size(bank), model_bank_size(bank));
 
+    // The non-empty bank mask, against the model after every op.
+    std::uint64_t model_nonempty = 0;
+    for (const MemRequest& r : model) model_nonempty |= std::uint64_t{1} << r.loc.bank;
+    ASSERT_EQ(queue.nonempty_banks(), model_nonempty) << "op " << op;
+
     audit_group(bank, row);
 
     // Exhaustive aggregate sweep: every bank count and every row group.
