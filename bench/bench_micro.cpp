@@ -32,7 +32,6 @@
 #include "core/value_predictor.hpp"
 #include "dram/address.hpp"
 #include "gpu/functional_memory.hpp"
-#include "gpu/shard.hpp"
 #include "mem/controller.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/json.hpp"
@@ -209,12 +208,11 @@ SchemePerf drive_controller(core::SchemeKind kind, Cycle total_cycles,
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-driver lane (--shard): all channels of the fig12 configuration
-// driven through the event-wheel horizons (next_event / advance_idle), first
-// on one thread and then fanned over worker lanes with gpu::ShardPool — the
-// same machinery GpuTop's sharded main loop uses. The request streams are
-// precomputed so every mode consumes the identical per-channel stream, and
-// the aggregate served/completed counts are asserted equal across modes.
+// Event-wheel lane: all channels of the fig12 configuration driven cycle by
+// cycle and then through the event-wheel horizons (next_event /
+// advance_idle), both on one thread. The request streams are precomputed so
+// both modes consume the identical per-channel stream, and the aggregate
+// served/completed counts are asserted equal across modes.
 // ---------------------------------------------------------------------------
 
 /// One precomputed enqueue: the stream is fixed up front so skipping cycles
@@ -224,13 +222,13 @@ struct StreamEvent {
   MemRequest req;
 };
 
-/// Cadence of the sharded-driver streams: the compute-dominated shape the
+/// Cadence of the event-wheel streams: the compute-dominated shape the
 /// paper's latency-tolerance argument rests on (Section II) — short memory
 /// bursts separated by long compute phases in which the channel sits quiet.
 /// This is the regime the event wheel exists for: the per-tick loop pays for
 /// every quiet cycle, the wheel fast-forwards over them.
-constexpr Cycle kShardBusyPhase = 1500;
-constexpr Cycle kShardIdlePhase = 118500;
+constexpr Cycle kWheelBusyPhase = 1500;
+constexpr Cycle kWheelIdlePhase = 118500;
 
 std::vector<StreamEvent> make_stream(const GpuConfig& cfg, const AddressMapper& mapper,
                                      ChannelId ch, Cycle total_cycles) {
@@ -238,7 +236,7 @@ std::vector<StreamEvent> make_stream(const GpuConfig& cfg, const AddressMapper& 
   RequestId id = 1;
   std::vector<StreamEvent> out;
   for (Cycle now = 0; now < total_cycles; ++now) {
-    const bool busy = now % (kShardBusyPhase + kShardIdlePhase) < kShardBusyPhase;
+    const bool busy = now % (kWheelBusyPhase + kWheelIdlePhase) < kWheelBusyPhase;
     if (!busy || !rng.next_bool(0.35)) continue;
     StreamEvent e;
     e.cycle = now;
@@ -323,19 +321,15 @@ std::uint64_t drive_one_wheel(MemoryController& mc,
   return completed;
 }
 
-struct ShardedPerf {
-  unsigned lanes = 1;
+struct WheelPerf {
   Cycle mem_cycles = 0;  ///< Aggregate over channels.
   std::uint64_t requests_completed = 0;
   double legacy_wall = 0.0;
   double wheel_wall = 0.0;
-  double sharded_wall = 0.0;
-  double speedup() const {
-    return sharded_wall == 0.0 ? 0.0 : legacy_wall / sharded_wall;
-  }
+  double speedup() const { return wheel_wall == 0.0 ? 0.0 : legacy_wall / wheel_wall; }
 };
 
-ShardedPerf drive_sharded(Cycle cycles_per_channel, unsigned shard) {
+WheelPerf drive_wheel(Cycle cycles_per_channel) {
   GpuConfig cfg;  // fig12 configuration: Table I defaults.
   AddressMapper mapper(cfg);
   const core::SchemeSpec spec =
@@ -346,14 +340,13 @@ ShardedPerf drive_sharded(Cycle cycles_per_channel, unsigned shard) {
   for (ChannelId ch = 0; ch < channels; ++ch)
     streams.push_back(make_stream(cfg, mapper, ch, cycles_per_channel));
 
-  ShardedPerf perf;
-  perf.lanes = std::min(std::max(shard, 1u), channels);
+  WheelPerf perf;
   perf.mem_cycles = cycles_per_channel * channels;
 
   std::uint64_t legacy_completed = 0, legacy_served = 0;
 
   // Best-of-3 per mode, modes interleaved within each repetition so host
-  // noise (a shared/throttled box) hits all three alike; min-wall is the
+  // noise (a shared/throttled box) hits both alike; min-wall is the
   // standard robust estimator for wall-clock microbenchmarks.
   constexpr int kReps = 3;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -381,30 +374,10 @@ ShardedPerf drive_sharded(Cycle cycles_per_channel, unsigned shard) {
       const double wall = seconds_since(start);
       if (rep == 0 || wall < perf.wheel_wall) perf.wheel_wall = wall;
       for (const auto& mc : mcs) served += mc->reads_served();
-      // The drives must agree exactly — the wheel and the lanes are
-      // execution strategies, not models.
+      // The drives must agree exactly — the wheel is an execution
+      // strategy, not a model.
       LD_ASSERT_MSG(completed == legacy_completed && served == legacy_served,
                     "event-wheel drive diverged from the per-tick drive");
-    }
-
-    // Event wheel fanned over worker lanes (channel ch on lane ch % lanes).
-    {
-      auto mcs = make_channels(cfg, mapper, spec);
-      std::vector<std::uint64_t> lane_completed(channels, 0);
-      std::uint64_t completed = 0, served = 0;
-      gpu::ShardPool pool(perf.lanes);
-      const auto start = std::chrono::steady_clock::now();
-      pool.run([&](unsigned lane) {
-        for (ChannelId ch = lane; ch < channels; ch += perf.lanes)
-          lane_completed[ch] =
-              drive_one_wheel(*mcs[ch], streams[ch], cycles_per_channel);
-      });
-      const double wall = seconds_since(start);
-      if (rep == 0 || wall < perf.sharded_wall) perf.sharded_wall = wall;
-      for (ChannelId ch = 0; ch < channels; ++ch) completed += lane_completed[ch];
-      for (const auto& mc : mcs) served += mc->reads_served();
-      LD_ASSERT_MSG(completed == legacy_completed && served == legacy_served,
-                    "sharded drive diverged from the per-tick drive");
     }
   }
   perf.requests_completed = legacy_completed;
@@ -426,9 +399,8 @@ struct SelfProfPerf {
   double overhead() const { return off_wall == 0.0 ? 0.0 : on_wall / off_wall; }
 };
 
-SelfProfPerf measure_selfprof_overhead(unsigned shard) {
+SelfProfPerf measure_selfprof_overhead() {
   sim::RunConfig off_cfg;
-  off_cfg.gpu.shard_threads = shard;
   off_cfg.spec =
       core::make_scheme_spec(core::SchemeKind::kDynCombo, off_cfg.gpu.scheme);
   off_cfg.ignore_env_outputs = true;
@@ -444,7 +416,7 @@ SelfProfPerf measure_selfprof_overhead(unsigned shard) {
   const auto wl = workloads::make_scp();
   SelfProfPerf perf;
   Cycle off_cycles = 0, on_cycles = 0;
-  // Interleaved best-of-3, same estimator as the sharded lane. The arm
+  // Interleaved best-of-3, same estimator as the event-wheel lane. The arm
   // switch is process-global, so each rep disarms before the off run and
   // lets on_cfg re-arm; reset() drops the zone data a rep accumulated.
   // ($LAZYDRAM_SELFPROF=1 would arm the off runs too and void the
@@ -479,7 +451,7 @@ std::string scheme_file_name(const std::string& scheme) {
 }
 
 int run_perf(const std::string& out_path, Cycle cycles_per_scheme,
-             const std::string& trace_dir, unsigned shard) {
+             const std::string& trace_dir) {
   std::vector<SchemePerf> results;
   double total_wall = 0.0;
   for (core::SchemeKind kind : core::all_schemes()) {
@@ -507,37 +479,30 @@ int run_perf(const std::string& out_path, Cycle cycles_per_scheme,
     results.push_back(std::move(perf));
   }
 
-  // Sharded-driver lane: all channels over the same streams, per-tick vs
-  // event wheel vs worker lanes. Untraced only — the lane measures raw
-  // driver throughput (the sharded telemetry path is covered by the
-  // Sharding.* byte-identity tests).
-  ShardedPerf sharded;
+  // Event-wheel lane: all channels over the same streams, per-tick vs
+  // event wheel. Untraced only — the lane measures raw driver throughput.
+  WheelPerf wheel;
   if (trace_dir.empty()) {
-    sharded = drive_sharded(cycles_per_scheme, shard);
-    std::printf("perf  %-16s %8.3f s  %12.0f mem-cycles/s  (per-tick, 1 thread)\n",
-                "shard:legacy", sharded.legacy_wall,
-                sharded.legacy_wall == 0.0
+    wheel = drive_wheel(cycles_per_scheme);
+    std::printf("perf  %-16s %8.3f s  %12.0f mem-cycles/s  (per-tick)\n",
+                "wheel:legacy", wheel.legacy_wall,
+                wheel.legacy_wall == 0.0
                     ? 0.0
-                    : static_cast<double>(sharded.mem_cycles) / sharded.legacy_wall);
-    std::printf("perf  %-16s %8.3f s  %12.0f mem-cycles/s  (wheel, 1 thread)\n",
-                "shard:wheel", sharded.wheel_wall,
-                sharded.wheel_wall == 0.0
+                    : static_cast<double>(wheel.mem_cycles) / wheel.legacy_wall);
+    std::printf("perf  %-16s %8.3f s  %12.0f mem-cycles/s  (%.2fx)\n",
+                "wheel:wheel", wheel.wheel_wall,
+                wheel.wheel_wall == 0.0
                     ? 0.0
-                    : static_cast<double>(sharded.mem_cycles) / sharded.wheel_wall);
-    std::printf("perf  %-16s %8.3f s  %12.0f mem-cycles/s  (%u lanes, %.2fx)\n",
-                "shard:lanes", sharded.sharded_wall,
-                sharded.sharded_wall == 0.0
-                    ? 0.0
-                    : static_cast<double>(sharded.mem_cycles) / sharded.sharded_wall,
-                sharded.lanes, sharded.speedup());
-    total_wall += sharded.legacy_wall + sharded.wheel_wall + sharded.sharded_wall;
+                    : static_cast<double>(wheel.mem_cycles) / wheel.wheel_wall,
+                wheel.speedup());
+    total_wall += wheel.legacy_wall + wheel.wheel_wall;
   }
 
   // Self-profiler overhead lane (untraced only — tracing already dominates
   // the traced lane's overhead, and the gate is about the default path).
   SelfProfPerf selfprof;
   if (trace_dir.empty()) {
-    selfprof = measure_selfprof_overhead(shard);
+    selfprof = measure_selfprof_overhead();
     std::printf("perf  %-16s %8.3f s on / %8.3f s off  (%.3fx overhead)\n",
                 "selfprof:e2e", selfprof.on_wall, selfprof.off_wall,
                 selfprof.overhead());
@@ -547,7 +512,6 @@ int run_perf(const std::string& out_path, Cycle cycles_per_scheme,
   // One end-to-end run (full GPU model, all channels) so controller-level
   // wins that evaporate at system level would show up in the report.
   sim::RunConfig e2e_cfg;
-  e2e_cfg.gpu.shard_threads = shard;
   e2e_cfg.spec = core::make_scheme_spec(core::SchemeKind::kDynCombo,
                                         e2e_cfg.gpu.scheme);
   const auto e2e = sim::simulate_full(*workloads::make_scp(), e2e_cfg);
@@ -582,15 +546,13 @@ int run_perf(const std::string& out_path, Cycle cycles_per_scheme,
   }
   w.end_array();
   if (trace_dir.empty()) {
-    w.key("sharded");
+    w.key("wheel");
     w.begin_object();
-    w.field("lanes", static_cast<std::uint64_t>(sharded.lanes));
-    w.field("mem_cycles", static_cast<std::uint64_t>(sharded.mem_cycles));
-    w.field("requests_completed", sharded.requests_completed);
-    w.field("legacy_wall_seconds", sharded.legacy_wall);
-    w.field("wheel_wall_seconds", sharded.wheel_wall);
-    w.field("sharded_wall_seconds", sharded.sharded_wall);
-    w.field("speedup", sharded.speedup());
+    w.field("mem_cycles", static_cast<std::uint64_t>(wheel.mem_cycles));
+    w.field("requests_completed", wheel.requests_completed);
+    w.field("legacy_wall_seconds", wheel.legacy_wall);
+    w.field("wheel_wall_seconds", wheel.wheel_wall);
+    w.field("speedup", wheel.speedup());
     w.end_object();
     w.key("self_profile");
     w.begin_object();
@@ -635,7 +597,6 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_perf.json";
   std::string trace_dir;
   Cycle cycles_per_scheme = 2'000'000;
-  unsigned shard = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--perf") == 0) {
       perf = true;
@@ -653,19 +614,9 @@ int main(int argc, char** argv) {
       // Existing directory to drop one chrome trace per scheme into; turns
       // the harness into the tracing-on overhead measurement.
       trace_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      // Worker lanes for the sharded-driver lane and the end-to-end run
-      // (GpuConfig::shard_threads).
-      unsigned long long v = 0;
-      if (!parse_count(argv[++i], 1, 64, v)) {
-        std::fprintf(stderr, "bench_micro: --shard wants a lane count 1..64, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      shard = static_cast<unsigned>(v);
     }
   }
-  if (perf) return run_perf(out_path, cycles_per_scheme, trace_dir, shard);
+  if (perf) return run_perf(out_path, cycles_per_scheme, trace_dir);
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -79,9 +79,7 @@ void ProtocolChecker::report(ViolationKind kind, Cycle cycle, std::int32_t bank,
           violation_kind_name(kind), channel_, bank, cycle, detail.c_str());
   if (opts_.mode == CheckMode::kStrict) {
     // Leave forensics before unwinding: the flight rings already hold the
-    // violation event (check_violation above) plus the last-K context. In a
-    // parallel epoch this is deferred and re-issued at the deterministic
-    // rethrow point after the capture drain (GpuTop::run_mem_span_parallel).
+    // violation event (check_violation above) plus the last-K context.
     telemetry::FlightRecorder::dump_all("protocol_violation", msg);
     throw ViolationError(msg);
   }

@@ -61,9 +61,6 @@ void GpuConfig::validate() const {
   LD_ASSERT(policy.tune_step > 0);
   LD_ASSERT(policy.tune_window > 0);
   LD_ASSERT(policy.tune_tolerance > 0.0 && policy.tune_tolerance <= 1.0);
-
-  LD_ASSERT_MSG(shard_threads >= 1 && shard_threads <= 64,
-                "shard_threads is a lane count in 1..64");
 }
 
 std::vector<std::pair<std::string, std::string>> GpuConfig::describe() const {

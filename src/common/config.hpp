@@ -199,17 +199,6 @@ struct GpuConfig {
   /// SchedulerRegistry is the single construction path for all of them.
   PolicyParams policy{};
 
-  /// Worker lanes of GpuTop's event-wheel driver, 1..64 (capped at the
-  /// channel count). 1 (default) runs everything on the calling thread,
-  /// fast-forwarding over quiet spans between deterministic synchronization
-  /// points; N > 1 additionally partitions the memory controllers into N
-  /// lanes that advance independently inside each memory-only epoch, with
-  /// telemetry buffered per lane and replayed in (cycle, channel) order at
-  /// the barrier. Results and trace output are bit-identical for every
-  /// value (proven by the Sharding.* lockstep tests and tools/diffcheck);
-  /// LAZYDRAM_SHARD=N selects it for full-simulation runs.
-  unsigned shard_threads = 1;
-
   /// Enables the per-bank state-residency power accountant (src/dram/power).
   /// Strictly passive — results are bit-identical either way (proven by
   /// PowerAccounting.OffIsBitIdentical); off only removes the O(1)-per-
@@ -218,7 +207,7 @@ struct GpuConfig {
   bool power_accounting = true;
 
   /// Arms the wall-clock self-profiler (telemetry/selfprof) for this run:
-  /// zone trees, per-lane busy/barrier-stall attribution, and the
+  /// zone trees, the core-side/memory-side wall split, and the
   /// self_profile block in the JSON run report. Strictly passive — results
   /// and trace output are byte-identical either way (proven by
   /// FlightRecorder.OnIsBitIdentical); the overhead is gated at 5% by
@@ -227,9 +216,9 @@ struct GpuConfig {
   bool self_profile = false;
 
   /// Emits a run-health status line to stderr every this-many wall-clock
-  /// seconds (sim cycles, Mcyc/s, warps done, ETA, queue depths, lane
-  /// utilization). 0 disables. LAZYDRAM_HEARTBEAT=seconds (or --heartbeat)
-  /// selects it for full-simulation runs.
+  /// seconds (sim cycles, Mcyc/s, warps done, ETA, queue depth). 0
+  /// disables. LAZYDRAM_HEARTBEAT=seconds (or --heartbeat) selects it for
+  /// full-simulation runs; both accept finite periods up to one year.
   double heartbeat_seconds = 0.0;
 
   std::uint64_t seed = 0x1aE5D8A3u;

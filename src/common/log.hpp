@@ -5,8 +5,8 @@
 // first use.
 //
 // Every line goes through one mutex-guarded writer that formats the whole
-// line into a buffer and emits it with a single fwrite, so concurrent shard
-// lanes / sweep workers can never interleave partial lines. The leveled
+// line into a buffer and emits it with a single fwrite, so concurrent sweep
+// workers can never interleave partial lines. The leveled
 // helpers additionally pass a token-bucket rate limiter (a misbehaving
 // per-cycle warn site cannot flood stderr); suppressed lines are counted and
 // acknowledged when output resumes.

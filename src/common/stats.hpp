@@ -3,9 +3,9 @@
 // Counters and histograms are plain value types owned by the component that
 // increments them; StatRegistry provides an optional flat name -> value view
 // for reporting. Nothing here is thread-aware: each instance is owned and
-// mutated by exactly one component, and the sharded main loop only ever
-// reads them from the main thread at epoch barriers. Shard-local histograms
-// reconcile through Histogram::merge, which is exact and order-independent.
+// mutated by exactly one component on the thread running its simulation.
+// Channel- or tenant-local histograms reconcile through Histogram::merge,
+// which is exact and order-independent.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +73,7 @@ class Histogram {
 
   /// Folds `other` into this histogram. Exact and order-independent: buckets
   /// (including overflow) and the true-key weighted sum add element-wise, so
-  /// merging shard- or channel-local histograms in any order reproduces the
+  /// merging channel-local histograms in any order reproduces the
   /// serial percentiles AND the serial mean bit-for-bit. This is NOT the same
   /// as re-adding `other`'s buckets through add(): the overflow bucket would
   /// re-enter at the clamped key max_key()+1 and corrupt the weighted sum.

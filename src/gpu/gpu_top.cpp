@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 #include "check/checker.hpp"
 #include "check/context.hpp"
 #include "common/assert.hpp"
 #include "common/log.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/selfprof.hpp"
 
 namespace lazydram::gpu {
@@ -536,7 +534,6 @@ bool GpuTop::run(Cycle max_core_cycles) {
         run_start_wall_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                               std::chrono::duration<double>(cfg_.heartbeat_seconds));
   }
-  init_sharding();
   {
     telemetry::SelfZone zone("gpu.run_wheel");
     run_wheel(max_core_cycles);
@@ -558,17 +555,7 @@ void GpuTop::finalize() {
 
 GpuTop::WheelSelfStats GpuTop::self_stats() const {
   WheelSelfStats s = self_stats_;
-  s.lanes = lanes_;
-  s.serial_seconds =
-      std::max(0.0, s.run_wall_seconds - s.mem_serial_seconds -
-                        s.mem_parallel_wall_seconds);
-  if (pool_ != nullptr) {
-    s.lane_busy_seconds = pool_->lane_busy_seconds();
-    double busy = 0.0;
-    for (const double b : s.lane_busy_seconds) busy += b;
-    s.barrier_stall_seconds =
-        std::max(0.0, static_cast<double>(lanes_) * s.pool_wall_seconds - busy);
-  }
+  s.serial_seconds = std::max(0.0, s.run_wall_seconds - s.mem_serial_seconds);
   return s;
 }
 
@@ -597,24 +584,11 @@ void GpuTop::maybe_heartbeat() {
                       : 0.0;
   const double eta = frac > 0.0 ? elapsed * (1.0 - frac) / frac : -1.0;
 
-  char lanes_buf[160];
-  lanes_buf[0] = '\0';
-  if (pool_ != nullptr && self_enabled_ && self_stats_.pool_wall_seconds > 0.0) {
-    const std::vector<double> busy = pool_->lane_busy_seconds();
-    int n = std::snprintf(lanes_buf, sizeof(lanes_buf), " lanes=");
-    for (std::size_t i = 0; i < busy.size() && n > 0 &&
-                            n < static_cast<int>(sizeof(lanes_buf)) - 8;
-         ++i) {
-      n += std::snprintf(lanes_buf + n, sizeof(lanes_buf) - n, "%s%.0f%%",
-                         i == 0 ? "" : ",",
-                         100.0 * busy[i] / self_stats_.pool_wall_seconds);
-    }
-  }
   log_status("hb core=%llu mem=%llu %.2f Mcyc/s warps=%zu/%zu eta=%.0fs "
-             "queued=%zu%s",
+             "queued=%zu",
              static_cast<unsigned long long>(core_cycle_),
              static_cast<unsigned long long>(mem_now_), mcps, warps_done,
-             warps_total, eta, queued, lanes_buf);
+             warps_total, eta, queued);
   last_heartbeat_ = now;
   last_heartbeat_core_ = core_cycle_;
 }
@@ -651,22 +625,6 @@ Cycle GpuTop::serial_next_event() const {
   return ev;
 }
 
-void GpuTop::init_sharding() {
-  lanes_ = std::min<unsigned>(cfg_.shard_threads, num_channels());
-  if (lanes_ <= 1) {
-    lanes_ = 1;
-    return;
-  }
-  if (pool_ != nullptr) return;
-  pool_ = std::make_unique<ShardPool>(lanes_);
-  captures_.resize(num_channels());
-  for (ChannelCapture& cap : captures_) {
-    cap.tracer.set_sink(&cap.sink);
-    if (lifecycle_ != nullptr && cap.lifecycle == nullptr)
-      cap.lifecycle = std::make_unique<CaptureLifecycle>();
-  }
-}
-
 void GpuTop::run_wheel(Cycle max_core_cycles) {
   const bool heartbeat = cfg_.heartbeat_seconds > 0.0;
   while (core_cycle_ < max_core_cycles) {
@@ -701,25 +659,15 @@ void GpuTop::run_wheel(Cycle max_core_cycles) {
     divider_.advance(resume - 1 - core_cycle_);
     const Cycle m_end = divider_.slow_cycles();
     if (m_end > mem_now_) {
-      const bool parallel = lanes_ > 1 && m_end - mem_now_ >= kParallelSpanMin;
       // Span-boundary clock reads are the whole cost of memory-side
       // attribution — the per-tick loops stay untimed.
       std::chrono::steady_clock::time_point t0;
       if (self_enabled_) t0 = std::chrono::steady_clock::now();
-      if (parallel)
-        run_mem_span_parallel(mem_now_, m_end);
-      else
-        run_mem_span(mem_now_, m_end);
+      run_mem_span(mem_now_, m_end);
       if (self_enabled_) {
-        const double dt =
+        self_stats_.mem_serial_seconds +=
             seconds_between(t0, std::chrono::steady_clock::now());
-        if (parallel) {
-          self_stats_.mem_parallel_wall_seconds += dt;
-          ++self_stats_.parallel_epochs;
-        } else {
-          self_stats_.mem_serial_seconds += dt;
-          ++self_stats_.serial_spans;
-        }
+        ++self_stats_.serial_spans;
       }
       mem_now_ = m_end;
     }
@@ -742,103 +690,6 @@ void GpuTop::run_mem_span(Cycle m0, Cycle m1) {
     ++m;
     for (Partition& p : partitions_) p.mc->tick(m);
   }
-}
-
-void GpuTop::advance_channel(ChannelId ch, Cycle m0, Cycle m1, ChannelCapture& cap) {
-  MemoryController& mc = *partitions_[ch].mc;
-  try {
-    mc.advance(m0, m1);
-  } catch (...) {
-    cap.error = std::current_exception();
-    cap.error_cycle = mc.last_cycle();
-  }
-}
-
-void GpuTop::install_captures() {
-  const bool trace_on = tracer_ != nullptr && tracer_->enabled();
-  for (ChannelId ch = 0; ch < num_channels(); ++ch) {
-    Partition& p = partitions_[ch];
-    ChannelCapture& cap = captures_[ch];
-    if (trace_on) {
-      p.mc->set_tracer(&cap.tracer);  // Forwards to the window sampler too.
-      if (p.lazy != nullptr) p.lazy->set_telemetry(&cap.tracer, ch);
-      if (checkers_[ch] != nullptr) checkers_[ch]->set_tracer(&cap.tracer);
-    }
-    if (lifecycle_ != nullptr) {
-      p.mc->set_lifecycle(cap.lifecycle.get());
-      if (p.lazy != nullptr) p.lazy->set_lifecycle(cap.lifecycle.get());
-    }
-  }
-}
-
-void GpuTop::restore_captures() {
-  const bool trace_on = tracer_ != nullptr && tracer_->enabled();
-  for (ChannelId ch = 0; ch < num_channels(); ++ch) {
-    Partition& p = partitions_[ch];
-    if (trace_on) {
-      p.mc->set_tracer(tracer_);
-      if (p.lazy != nullptr) p.lazy->set_telemetry(tracer_, ch);
-      if (checkers_[ch] != nullptr) checkers_[ch]->set_tracer(tracer_);
-    }
-    if (lifecycle_ != nullptr) {
-      p.mc->set_lifecycle(lifecycle_);
-      if (p.lazy != nullptr) p.lazy->set_lifecycle(lifecycle_);
-    }
-  }
-}
-
-void GpuTop::run_mem_span_parallel(Cycle m0, Cycle m1) {
-  install_captures();
-  const unsigned lanes = lanes_;
-  const unsigned channels = num_channels();
-  // A strict violation inside a lane must not dump the flight rings while
-  // sibling lanes are still writing theirs; defer until after the barrier
-  // and the deterministic capture drain below.
-  telemetry::FlightRecorder::set_deferred(true);
-  std::chrono::steady_clock::time_point t0;
-  if (self_enabled_) t0 = std::chrono::steady_clock::now();
-  pool_->run([&](unsigned lane) {
-    for (ChannelId ch = lane; ch < channels; ch += lanes)
-      advance_channel(ch, m0, m1, captures_[ch]);
-  });
-  if (self_enabled_)
-    self_stats_.pool_wall_seconds +=
-        seconds_between(t0, std::chrono::steady_clock::now());
-  telemetry::FlightRecorder::set_deferred(false);
-  restore_captures();
-
-  // Earliest strict-checker abort wins, matching the serial loop's
-  // (cycle, channel) scan order; replay the trace prefix up to it.
-  std::size_t bad = captures_.size();
-  for (std::size_t ch = 0; ch < captures_.size(); ++ch) {
-    if (captures_[ch].error == nullptr) continue;
-    if (bad == captures_.size() || captures_[ch].error_cycle < captures_[bad].error_cycle)
-      bad = ch;
-  }
-  if (bad != captures_.size()) {
-    drain_captures(captures_, tracer_, lifecycle_, captures_[bad].error_cycle,
-                   static_cast<ChannelId>(bad));
-    const std::exception_ptr err = captures_[bad].error;
-    for (ChannelCapture& cap : captures_) {
-      cap.error = nullptr;
-      cap.error_cycle = 0;
-    }
-    // The drain just replayed the merged (cycle, channel)-ordered prefix —
-    // violation event included — into the main tracer's flight rings, and
-    // every lane is quiesced, so this is the deterministic point to leave
-    // the forensics the in-lane (deferred) dump could not.
-    try {
-      std::rethrow_exception(err);
-    } catch (const std::exception& e) {
-      telemetry::FlightRecorder::dump_all("protocol_violation", e.what());
-      throw;
-    } catch (...) {
-      telemetry::FlightRecorder::dump_all("protocol_violation",
-                                          "non-standard exception");
-      throw;
-    }
-  }
-  drain_captures(captures_, tracer_, lifecycle_);
 }
 
 }  // namespace lazydram::gpu

@@ -24,7 +24,6 @@
 #include "core/value_predictor.hpp"
 #include "dram/address.hpp"
 #include "gpu/functional_memory.hpp"
-#include "gpu/shard.hpp"
 #include "gpu/sm.hpp"
 #include "icnt/crossbar.hpp"
 #include "mem/controller.hpp"
@@ -70,11 +69,9 @@ class GpuTop {
   /// advance over the gap — each skipping its own quiet spans via
   /// next_event()/advance_idle(). No skip crosses a finished() poll (every
   /// 1024th core cycle), so the result equals that of calling step() every
-  /// cycle with the same poll. shard_threads > 1 additionally runs those
-  /// controller-only epochs on a worker-lane pool with per-lane telemetry
-  /// capture, merged in (cycle, channel) order at each barrier. Every lane
-  /// count is bit-identical in results and byte-identical in trace output
-  /// (Sharding.* tests, tools/diffcheck).
+  /// cycle with the same poll, in results and in trace output (Sharding.*
+  /// lockstep tests, tools/diffcheck). Everything runs on the calling
+  /// thread.
   bool run(Cycle max_core_cycles = 200'000'000);
 
   /// Advances one core cycle.
@@ -127,13 +124,9 @@ class GpuTop {
   /// SelfProfiler is armed (all zero otherwise). The hot loops carry no RAII
   /// zones; instead the wheel reads the clock at span boundaries and samples
   /// one core step in 64, so arming stays within the <=5% overhead budget:
-  ///   serial_seconds            = run wall not spent in memory-only spans
-  ///                               (SMs + crossbars + partition front-ends,
-  ///                               the side that always runs on the caller);
-  ///   mem_serial_seconds        = memory-only spans run on the caller;
-  ///   mem_parallel_wall_seconds = memory-only epochs run on the lane pool;
-  ///   barrier_stall_seconds     = lane-pool capacity not spent advancing
-  ///                               channels (lanes * pool wall - busy sum).
+  ///   serial_seconds     = run wall not spent in memory-only spans (SMs +
+  ///                        crossbars + partition front-ends);
+  ///   mem_serial_seconds = memory-only spans (run_mem_span).
   /// The sm/icnt/partition sample sums decompose the sampled steps' wall
   /// time; scale by 64 (or normalize by step_samples) for shares. The SM
   /// slice is the awake SMs' ticks and sleep checks; the partition slice the
@@ -143,17 +136,11 @@ class GpuTop {
     double run_wall_seconds = 0.0;
     double serial_seconds = 0.0;
     double mem_serial_seconds = 0.0;
-    double mem_parallel_wall_seconds = 0.0;
-    double pool_wall_seconds = 0.0;
     std::uint64_t serial_spans = 0;
-    std::uint64_t parallel_epochs = 0;
     std::uint64_t step_samples = 0;
     double sm_sample_seconds = 0.0;
     double icnt_sample_seconds = 0.0;
     double partition_sample_seconds = 0.0;
-    std::vector<double> lane_busy_seconds;  ///< One slot per worker lane.
-    double barrier_stall_seconds = 0.0;
-    unsigned lanes = 1;
   };
   WheelSelfStats self_stats() const;
 
@@ -226,7 +213,7 @@ class GpuTop {
   /// granted this cycle, and those whose park_until() falls due.
   void wake_sms(Cycle first_tick);
 
-  // --- Event-wheel / sharded driver (see run()) ---
+  // --- Event-wheel driver (see run()) ---
 
   /// First future core cycle at which step() could do serial-side work,
   /// assuming the memory side stays quiet (cross-domain events are bounded
@@ -240,28 +227,11 @@ class GpuTop {
   /// Event-wheel main loop.
   void run_wheel(Cycle max_core_cycles);
 
-  /// Sizes the lane pool and capture buffers on first wheel entry.
-  void init_sharding();
-
   /// Advances every controller over memory cycles (m0, m1] in lockstep
-  /// (cycle-major, channel order) with direct telemetry emission — the
-  /// serial epoch body. Controllers skip shared quiet spans via the global
-  /// minimum of their next_event horizons.
+  /// (cycle-major, channel order), so telemetry is emitted in the order a
+  /// per-cycle step() loop emits it. Controllers skip shared quiet spans via
+  /// the global minimum of their next_event horizons.
   void run_mem_span(Cycle m0, Cycle m1);
-
-  /// Same span, but each lane advances its own channels independently with
-  /// telemetry captured per channel and replayed in (cycle, channel) order
-  /// at the barrier; a strict-checker throw is rethrown after replaying the
-  /// serial prefix of the trace.
-  void run_mem_span_parallel(Cycle m0, Cycle m1);
-
-  /// Advances one channel over (m0, m1] on a lane (MemoryController::
-  /// advance); an exception from tick() is parked in the capture slot,
-  /// stamped with the throwing cycle, instead of propagating.
-  void advance_channel(ChannelId ch, Cycle m0, Cycle m1, ChannelCapture& cap);
-
-  void install_captures();
-  void restore_captures();
 
   /// Emits one LAZYDRAM_HEARTBEAT status line when the period elapsed.
   /// Called from coarse loop boundaries only (every 1024th step / each
@@ -296,11 +266,6 @@ class GpuTop {
   /// checking is off; used only for stats registration).
   std::vector<check::ProtocolChecker*> checkers_;
 
-  // Sharded-driver state (inert unless cfg_.shard_threads > 1).
-  unsigned lanes_ = 1;                  ///< Worker lanes (capped at channels).
-  std::unique_ptr<ShardPool> pool_;
-  std::vector<ChannelCapture> captures_;  ///< One per channel.
-
   // Self-observability state (inert unless the SelfProfiler is armed /
   // cfg_.heartbeat_seconds > 0). Strictly passive: never read by simulation.
   bool self_enabled_ = false;  ///< SelfProfiler::enabled(), cached at run().
@@ -314,10 +279,6 @@ class GpuTop {
   static constexpr unsigned kInputsPerCycle = 2;
   static constexpr unsigned kRepliesPerCycle = 4;
   static constexpr std::size_t kPendingMcCap = 64;
-  /// Minimum parallel-epoch length in memory cycles; shorter spans run on
-  /// the calling thread (barrier latency would dominate). Execution-strategy
-  /// only — results are bit-identical either way.
-  static constexpr Cycle kParallelSpanMin = 8;
 };
 
 }  // namespace lazydram::gpu

@@ -75,7 +75,7 @@ class MemoryController {
   /// something the rest of the system can observe: a reply becoming
   /// poppable. Lower-bounds the data return of any not-yet-issued CAS by
   /// cmd_wake_ (no command can issue while the pass is parked) plus
-  /// tCL + tBURST. The sharded main loop bounds its epoch length by the
+  /// tCL + tBURST. GpuTop's event wheel bounds each memory-only span by the
   /// minimum of this over all channels, so no SM can miss a wakeup.
   Cycle next_cross_event(Cycle now) const;
 
@@ -91,12 +91,8 @@ class MemoryController {
   /// ticked or replayed: each cycle next_event() cannot prove idle is
   /// ticked, each maximal idle run is replayed by one advance_idle().
   /// Bit-identical to tick() on every cycle of the span. Returns the number
-  /// of cycles actually ticked. If tick() throws, last_cycle() is the cycle
-  /// that threw.
+  /// of cycles actually ticked.
   std::uint64_t advance(Cycle from, Cycle to);
-
-  /// The last memory cycle ticked or replayed (0 before the first).
-  Cycle last_cycle() const { return end_mem_ == 0 ? 0 : end_mem_ - 1; }
 
   /// Pops the next ready reply, if any became ready at or before `now_mem`.
   std::optional<MemReply> pop_reply(Cycle now_mem) {
@@ -152,8 +148,7 @@ class MemoryController {
 
   /// Routes row-activation and row-group-drop events through `tracer`
   /// (nullable to detach). Forwards to the window sampler when sampling is
-  /// enabled, so a single call re-routes every controller-side event stream
-  /// (the sharded loop swaps lane-local capture tracers in and out this way).
+  /// enabled, so a single call re-routes every controller-side event stream.
   void set_tracer(telemetry::Tracer* tracer) {
     tracer_ = tracer;
     if (sampler_ != nullptr) sampler_->set_tracer(tracer);

@@ -148,9 +148,9 @@ void write_lifecycle_section(telemetry::JsonWriter& w,
 }
 
 // The simulator's own wall-time attribution: where the host CPU time went
-// (core-side vs memory-side vs barrier stall), per-lane utilization, the
-// sampled step decomposition, and the merged SelfProfiler zone tree. Present
-// only when GpuConfig::self_profile armed the profiler for this run.
+// (core side vs memory-only spans), the sampled step decomposition, and the
+// merged SelfProfiler zone tree. Present only when GpuConfig::self_profile
+// armed the profiler for this run.
 void write_self_profile_section(telemetry::JsonWriter& w,
                                 const telemetry::SelfProfileReport& sp) {
   w.key("self_profile");
@@ -158,21 +158,10 @@ void write_self_profile_section(telemetry::JsonWriter& w,
   w.field("run_wall_seconds", sp.run_wall_seconds);
   w.field("serial_seconds", sp.serial_seconds);
   w.field("mem_serial_seconds", sp.mem_serial_seconds);
-  w.field("mem_parallel_wall_seconds", sp.mem_parallel_wall_seconds);
-  w.field("pool_wall_seconds", sp.pool_wall_seconds);
-  w.field("barrier_stall_seconds", sp.barrier_stall_seconds);
   w.field("serial_spans", sp.serial_spans);
-  w.field("parallel_epochs", sp.parallel_epochs);
-  w.field("lanes", static_cast<std::uint64_t>(sp.lanes));
   const double wall = sp.run_wall_seconds;
   w.field("core_side_share", wall > 0.0 ? sp.serial_seconds / wall : 0.0);
-  w.field("mem_side_share",
-          wall > 0.0 ? (sp.mem_serial_seconds + sp.mem_parallel_wall_seconds) / wall
-                     : 0.0);
-  const double lane_wall =
-      sp.pool_wall_seconds * static_cast<double>(sp.lanes > 0 ? sp.lanes : 1);
-  w.field("barrier_stall_share",
-          lane_wall > 0.0 ? sp.barrier_stall_seconds / lane_wall : 0.0);
+  w.field("mem_side_share", wall > 0.0 ? sp.mem_serial_seconds / wall : 0.0);
   w.key("step_shares");
   w.begin_object();
   w.field("samples", sp.step_samples);
@@ -180,16 +169,6 @@ void write_self_profile_section(telemetry::JsonWriter& w,
   w.field("icnt_seconds", sp.icnt_sample_seconds);
   w.field("partition_seconds", sp.partition_sample_seconds);
   w.end_object();
-  w.key("lanes_busy");
-  w.begin_array();
-  for (const double busy : sp.lane_busy_seconds) {
-    w.begin_object();
-    w.field("busy_seconds", busy);
-    w.field("utilization",
-            sp.pool_wall_seconds > 0.0 ? busy / sp.pool_wall_seconds : 0.0);
-    w.end_object();
-  }
-  w.end_array();
   w.key("zones");
   w.begin_array();
   for (const telemetry::SelfZoneNode& z : sp.zones) {

@@ -44,14 +44,14 @@ std::uint64_t trace_sample_from_env() {
   return 1;
 }
 
-unsigned shard_threads_from_env() {
-  const std::string text = telemetry::env_string("LAZYDRAM_SHARD");
-  if (text.empty()) return 1;
-  unsigned long long v = 0;
-  if (parse_whole(text, v) && v >= 1 && v <= 64) return static_cast<unsigned>(v);
-  log_warn("LAZYDRAM_SHARD='%s' not recognized (want a lane count 1..64); using 1",
-           text.c_str());
-  return 1;
+double parse_heartbeat_seconds(const std::string& text, const char* source) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  // NaN fails both comparisons; inf and overflowed values fail the bound.
+  if (*end == '\0' && v > 0.0 && v <= kMaxHeartbeatSeconds) return v;
+  log_warn("%s='%s' not recognized (want seconds in (0, %.0f]); heartbeat off", source,
+           text.c_str(), kMaxHeartbeatSeconds);
+  return 0.0;
 }
 
 RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& config) {
@@ -72,12 +72,6 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
                pw.c_str());
   }
 
-  // Worker lanes of the event-wheel driver: LAZYDRAM_SHARD=N partitions the
-  // memory controllers over N lanes. Results and trace output are
-  // bit-identical for every value; a non-default RunConfig/GpuConfig
-  // setting wins over the environment.
-  if (cfg.shard_threads == 1) cfg.shard_threads = shard_threads_from_env();
-
   // Self-observability knobs. The profiler arm switch is process-global and
   // sticky: a run that wants it only ever turns it ON (a concurrent sweep
   // sibling may still be profiling), so per-run A/B toggling is left to
@@ -93,15 +87,8 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
   }
   if (cfg.self_profile) telemetry::SelfProfiler::set_enabled(true);
   if (cfg.heartbeat_seconds <= 0.0) {
-    if (const std::string hb = telemetry::env_string("LAZYDRAM_HEARTBEAT"); !hb.empty()) {
-      char* end = nullptr;
-      const double v = std::strtod(hb.c_str(), &end);
-      if (end != nullptr && *end == '\0' && v > 0.0)
-        cfg.heartbeat_seconds = v;
-      else
-        log_warn("LAZYDRAM_HEARTBEAT='%s' not recognized (want seconds > 0); ignored",
-                 hb.c_str());
-    }
+    if (const std::string hb = telemetry::env_string("LAZYDRAM_HEARTBEAT"); !hb.empty())
+      cfg.heartbeat_seconds = parse_heartbeat_seconds(hb, "LAZYDRAM_HEARTBEAT");
   }
 
   // Resolve the scheduler policy: a configured GpuConfig::policy.name wins,
@@ -223,7 +210,7 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
   }
 
   // Detach the self-attribution before `top` dies: the run loop's wall-time
-  // split (core-side vs memory-side vs barrier stall) plus the merged zone
+  // split (core side vs memory-only spans) plus the merged zone
   // tree from every thread that touched the profiler.
   if (cfg.self_profile) {
     const gpu::GpuTop::WheelSelfStats ws = top.self_stats();
@@ -232,17 +219,11 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
     sp.run_wall_seconds = ws.run_wall_seconds;
     sp.serial_seconds = ws.serial_seconds;
     sp.mem_serial_seconds = ws.mem_serial_seconds;
-    sp.mem_parallel_wall_seconds = ws.mem_parallel_wall_seconds;
-    sp.pool_wall_seconds = ws.pool_wall_seconds;
-    sp.barrier_stall_seconds = ws.barrier_stall_seconds;
     sp.serial_spans = ws.serial_spans;
-    sp.parallel_epochs = ws.parallel_epochs;
     sp.step_samples = ws.step_samples;
     sp.sm_sample_seconds = ws.sm_sample_seconds;
     sp.icnt_sample_seconds = ws.icnt_sample_seconds;
     sp.partition_sample_seconds = ws.partition_sample_seconds;
-    sp.lane_busy_seconds = ws.lane_busy_seconds;
-    sp.lanes = ws.lanes;
     telemetry::SelfProfiler::Snapshot snap = telemetry::SelfProfiler::instance().snapshot();
     if (telemetry::ChromeTraceSink* chrome = tele.chrome_sink())
       chrome->write_self_profile(snap);

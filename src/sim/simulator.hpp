@@ -78,9 +78,14 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
 /// "1/N" with N > 0. Unset gives 1; anything else warns and gives 1.
 std::uint64_t trace_sample_from_env();
 
-/// Event-wheel lane count from $LAZYDRAM_SHARD, a whole number 1..64. Unset
-/// gives 1; anything else (0 included) warns and gives 1.
-unsigned shard_threads_from_env();
+/// Longest accepted heartbeat period: one year, in seconds.
+inline constexpr double kMaxHeartbeatSeconds = 31'536'000.0;
+
+/// Heartbeat period in seconds parsed from `text`, the value of `source`
+/// ("LAZYDRAM_HEARTBEAT", "--heartbeat"): a finite number with
+/// 0 < v <= kMaxHeartbeatSeconds. Anything else warns and returns 0, which
+/// leaves the heartbeat off.
+double parse_heartbeat_seconds(const std::string& text, const char* source);
 
 /// Convenience: run one of the seven paper schemes with default config.
 RunMetrics simulate_scheme(const workloads::Workload& workload, core::SchemeKind kind,

@@ -109,12 +109,8 @@ std::vector<SweepResult> SweepEngine::run(std::vector<SweepJob> sweep_jobs) {
   // themselves by simulate_full): after each job completes, at most once per
   // period, report done/total and an ETA extrapolated from the mean job time.
   double heartbeat_seconds = 0.0;
-  if (const std::string hb = telemetry::env_string("LAZYDRAM_HEARTBEAT"); !hb.empty()) {
-    char* end = nullptr;
-    const double v = std::strtod(hb.c_str(), &end);
-    if (end != nullptr && *end == '\0' && v > 0.0) heartbeat_seconds = v;
-    // An unparsable value is warned about by simulate_full; stay quiet here.
-  }
+  if (const std::string hb = telemetry::env_string("LAZYDRAM_HEARTBEAT"); !hb.empty())
+    heartbeat_seconds = parse_heartbeat_seconds(hb, "LAZYDRAM_HEARTBEAT");
   std::mutex hb_mu;
   auto hb_next = std::chrono::steady_clock::now() +
                  std::chrono::duration<double>(heartbeat_seconds);
@@ -229,13 +225,7 @@ double parse_heartbeat(int argc, char** argv) {
       log_warn("--heartbeat given without a value (want seconds > 0); ignoring");
       break;
     }
-    char* end = nullptr;
-    const double v = std::strtod(argv[i + 1], &end);
-    if (end == nullptr || *end != '\0' || v <= 0.0) {
-      log_warn("ignoring --heartbeat '%s' (want seconds > 0)", argv[i + 1]);
-      break;
-    }
-    return v;
+    return parse_heartbeat_seconds(argv[i + 1], "--heartbeat");
   }
   return 0.0;
 }

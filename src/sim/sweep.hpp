@@ -107,8 +107,8 @@ std::string parse_check(int argc, char** argv);
 bool parse_self_profile(int argc, char** argv);
 
 /// `--heartbeat SECONDS` from argv, else 0 (off; $LAZYDRAM_HEARTBEAT can
-/// still turn it on per-run). A missing or non-positive value warns and is
-/// ignored.
+/// still turn it on per-run). A missing value, or one parse_heartbeat_seconds
+/// rejects, warns and is ignored.
 double parse_heartbeat(int argc, char** argv);
 
 /// `label` reduced to [A-Za-z0-9._-] (everything else becomes '_') so it is

@@ -1,7 +1,6 @@
 #include "telemetry/flight.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <mutex>
 
@@ -21,8 +20,6 @@ FlightRegistry& flight_registry() {
   static FlightRegistry* r = new FlightRegistry();
   return *r;
 }
-
-std::atomic<bool> g_dumps_deferred{false};
 
 void flight_assert_hook(const char* expr, const char* file, int line,
                         const char* msg) {
@@ -59,8 +56,7 @@ void write_json_escaped(std::FILE* out, const std::string& s) {
 }  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t depth) : depth_(depth) {
-  // Pre-size so record() never reallocates rings_ — lanes index it
-  // concurrently during parallel epochs.
+  // One ring per possible channel; record() drops higher channel ids.
   rings_.resize(kMaxChannels);
   FlightRegistry& reg = flight_registry();
   std::lock_guard<std::mutex> lock(reg.mu);
@@ -145,7 +141,6 @@ void FlightRecorder::dump(std::FILE* out, const char* reason,
 }
 
 void FlightRecorder::dump_all(const char* reason, const std::string& detail) {
-  if (g_dumps_deferred.load(std::memory_order_relaxed)) return;
   FlightRegistry& reg = flight_registry();
   std::lock_guard<std::mutex> lock(reg.mu);
   if (reg.recorders.empty()) return;
@@ -172,10 +167,6 @@ void FlightRecorder::dump_all(const char* reason, const std::string& detail) {
              reason, detail.c_str(), total_events, reg.recorders.size(),
              out != nullptr ? "written to" : "NOT written (open failed):",
              path.c_str());
-}
-
-void FlightRecorder::set_deferred(bool deferred) {
-  g_dumps_deferred.store(deferred, std::memory_order_relaxed);
 }
 
 std::string FlightRecorder::dump_path() {

@@ -14,14 +14,10 @@
 // (cycle, channel) order, plus a short stderr summary, so a crashed run
 // leaves forensics behind instead of discarding its recent history.
 //
-// Threading: channels are lane-disjoint in sharded runs, so record() is
-// race-free without locks — each ring is only ever written by the lane that
-// owns its channel (or by the main thread during serial spans and capture
-// drains). Rings are pre-sized to kMaxChannels at construction so no
-// reallocation can race; events on higher channel ids are dropped. During
-// parallel epochs GpuTop defers dumps (set_deferred) because an in-lane dump
-// would read sibling rings mid-write; the deterministic rethrow point after
-// the capture drain re-issues the dump with the rings quiesced.
+// Threading: a recorder belongs to one run, and a run emits from one thread,
+// so record() takes no lock. Rings are pre-sized to kMaxChannels at
+// construction; events on higher channel ids are dropped. The registry of
+// live recorders is shared by concurrent runs (sweep workers) and locked.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +42,7 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Appends one event to its channel's ring (overwriting the oldest once
-  /// full). Safe to call concurrently from lanes owning disjoint channels.
+  /// full).
   void record(const TraceEvent& event);
 
   std::size_t depth() const { return depth_; }
@@ -62,14 +58,8 @@ class FlightRecorder {
   void dump(std::FILE* out, const char* reason, const std::string& detail) const;
 
   /// Dumps every live recorder to the flight-dump JSON file and prints a
-  /// stderr summary. No-op when no recorder is armed or dumps are deferred.
+  /// stderr summary. No-op when no recorder is armed.
   static void dump_all(const char* reason, const std::string& detail);
-
-  /// Defers/releases dump_all. GpuTop sets this around parallel epochs so a
-  /// strict violation inside a worker lane cannot dump while sibling lanes
-  /// are still writing their rings; the violation is re-dumped after the
-  /// deterministic capture drain.
-  static void set_deferred(bool deferred);
 
   /// Resolved dump path: $LAZYDRAM_FLIGHT_DUMP or "lazydram_flight.json".
   static std::string dump_path();

@@ -74,7 +74,6 @@ class LifecycleCollector {
   /// keeps 1 request in N (N >= 1; the first of every stride is kept, so
   /// N = 1 records every read request).
   explicit LifecycleCollector(Tracer* tracer, std::uint64_t sample_every = 1);
-  virtual ~LifecycleCollector() = default;
 
   /// Switches to external-creation mode (GpuTop owns record creation and the
   /// warp-wakeup close; see file comment). Call before the first request.
@@ -103,21 +102,17 @@ class LifecycleCollector {
   /// The request entered the pending queue (standalone mode opens and
   /// samples here). Only reads are recorded; callers may pass writes.
   void on_enqueue(const MemRequest& req, ChannelId channel, Cycle now_mem);
-  // The four hooks below are the only ones fired from inside a memory
-  // controller's tick() — they are virtual so the sharded GpuTop can swap in
-  // a per-lane buffering subclass during a parallel epoch and replay the
-  // calls in deterministic (cycle, channel) order at the barrier. In GpuTop
-  // mode none of them opens or closes a record (creation and the warp-wakeup
-  // close are core-domain, i.e. serial-side), so buffered replay before the
-  // next core step is state-identical to inline delivery.
+  // The four hooks below are the ones fired from inside a memory
+  // controller's tick(). In GpuTop mode none of them opens or closes a
+  // record (creation and the warp-wakeup close are core-domain).
   /// One DMS age-gate interval [begin, end) of this request closed.
-  virtual void on_gate_end(RequestId id, Cycle begin_mem, Cycle end_mem);
+  void on_gate_end(RequestId id, Cycle begin_mem, Cycle end_mem);
   /// The request's RD command issued.
-  virtual void on_cas(RequestId id, Cycle now_mem);
+  void on_cas(RequestId id, Cycle now_mem);
   /// The request's data burst completed; closes the record in standalone mode.
-  virtual void on_data_return(RequestId id, Cycle done_mem);
+  void on_data_return(RequestId id, Cycle done_mem);
   /// AMS dropped the request; closes the record in standalone mode.
-  virtual void on_drop(RequestId id, Cycle now_mem);
+  void on_drop(RequestId id, Cycle now_mem);
 
   // --- Results ---
 

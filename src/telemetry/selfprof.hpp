@@ -9,7 +9,7 @@
 //    child-list walk in a per-thread tree. Hot per-cycle loops do NOT get
 //    zones — GpuTop attributes them with span-boundary clock reads and a
 //    1-in-64 sampled step decomposition instead (see WheelSelfStats).
-//  * Thread-aware: every thread (sweep workers, shard lanes) aggregates into
+//  * Thread-aware: every thread (sweep workers, baseline runs) aggregates into
 //    its own tree; snapshot() merges by zone-name path.
 //
 // Each thread also keeps a bounded begin/end event timeline so the self-time
@@ -87,7 +87,7 @@ class SelfProfiler {
 
   /// Zeroes all counters/timelines (keeps thread registrations). Only call
   /// with no zones open on other threads — the A/B perf harness uses it
-  /// between lanes.
+  /// between its profiled and unprofiled runs.
   void reset();
 
   /// Nanoseconds since the profiler epoch (process start of first use).

@@ -91,19 +91,16 @@ struct SelfProfileReport {
   bool enabled = false;
   std::vector<SelfZoneNode> zones;  ///< Merged zone tree, preorder.
   double run_wall_seconds = 0.0;
-  double serial_seconds = 0.0;            ///< SM/core-side (non-mem-span) wall.
-  double mem_serial_seconds = 0.0;        ///< Memory spans on the caller.
-  double mem_parallel_wall_seconds = 0.0; ///< Memory epochs on the lane pool.
-  double pool_wall_seconds = 0.0;
-  double barrier_stall_seconds = 0.0;
+  double serial_seconds = 0.0;      ///< SM/core-side (non-mem-span) wall.
+  double mem_serial_seconds = 0.0;  ///< Memory-only spans.
   std::uint64_t serial_spans = 0;
-  std::uint64_t parallel_epochs = 0;
   std::uint64_t step_samples = 0;
   double sm_sample_seconds = 0.0;
   double icnt_sample_seconds = 0.0;
   double partition_sample_seconds = 0.0;
-  std::vector<double> lane_busy_seconds;
-  unsigned lanes = 1;
+  // Always 0: kept only because perfbench still reads them.
+  double mem_parallel_wall_seconds = 0.0;
+  std::uint64_t parallel_epochs = 0;
 };
 
 /// Everything a run's telemetry produced, detached from the simulator

@@ -207,9 +207,8 @@ class Tracer {
  public:
   void set_sink(TraceSink* sink) { sink_ = sink; }
   /// enabled() deliberately ignores the flight recorder: it gates the
-  /// expensive trace machinery (capture-tracer installation in sharded runs,
-  /// sink construction), while flight-only recording stays on the cheap
-  /// direct path — lanes write disjoint per-channel rings race-free.
+  /// expensive trace machinery (sink construction), while flight-only
+  /// recording stays on the cheap direct path.
   bool enabled() const { return sink_ != nullptr; }
 
   /// Attaches the crash flight recorder. Events delivered through emit()

@@ -117,9 +117,7 @@ class WindowSampler {
   /// executed at the boundary is always sound, just not always needed.
   Cycle next_boundary() const { return window_start_ + window_; }
 
-  /// Re-routes closed windows through `tracer` (nullable to detach). The
-  /// sharded main loop swaps in a lane-local capture tracer around parallel
-  /// epochs and restores the real one at the barrier.
+  /// Re-routes closed windows through `tracer` (nullable to detach).
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Closes the final partial window (if any ticks are pending) against the

@@ -23,6 +23,8 @@
 // controller (test_controller_schemes.cpp).
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,24 +43,36 @@
 namespace lazydram {
 namespace {
 
+// gtest prints a parameter without a PrintTo overload as a dump of its raw
+// bytes, and that dump is part of the test name ctest lists. The struct
+// therefore leads with fixed bytes: were a std::string first, the name would
+// start with a heap address and change whenever the heap layout at test
+// registration does.
 struct PolicyCase {
+  std::uint32_t tag = 0;    ///< Fixed leading bytes of the byte dump.
+  core::SchemeKind scheme = core::SchemeKind::kBaseline;  ///< For lazy only.
   std::string name;         ///< Test label.
   std::string spec_text;    ///< parse_policy_spec input ("" = lazy).
-  core::SchemeKind scheme = core::SchemeKind::kBaseline;  ///< For lazy only.
 };
 
 std::vector<PolicyCase> conformance_cases() {
-  return {
-      {"frfcfs", "frfcfs"},
-      {"fcfs", "fcfs"},
-      {"bliss", "bliss:threshold=3,interval=512"},
-      {"batch-rr", "batch-rr:cap=2"},
-      {"autotune", "autotune:min=0,max=256,step=32,window=256"},
-      {"lazy-baseline", "", core::SchemeKind::kBaseline},
-      {"lazy-static-dms", "", core::SchemeKind::kStaticDms},
-      {"lazy-static-combo", "", core::SchemeKind::kStaticCombo},
-      {"lazy-dyn-combo", "", core::SchemeKind::kDynCombo},
+  using core::SchemeKind;
+  // Tags count from 0x10, so fcfs's listed name keeps its recorded prefix
+  // "72-byte object <1".
+  std::vector<PolicyCase> cases = {
+      {0, SchemeKind::kBaseline, "frfcfs", "frfcfs"},
+      {0, SchemeKind::kBaseline, "fcfs", "fcfs"},
+      {0, SchemeKind::kBaseline, "bliss", "bliss:threshold=3,interval=512"},
+      {0, SchemeKind::kBaseline, "batch-rr", "batch-rr:cap=2"},
+      {0, SchemeKind::kBaseline, "autotune", "autotune:min=0,max=256,step=32,window=256"},
+      {0, SchemeKind::kBaseline, "lazy-baseline", ""},
+      {0, SchemeKind::kStaticDms, "lazy-static-dms", ""},
+      {0, SchemeKind::kStaticCombo, "lazy-static-combo", ""},
+      {0, SchemeKind::kDynCombo, "lazy-dyn-combo", ""},
   };
+  for (std::size_t i = 0; i < cases.size(); ++i)
+    cases[i].tag = static_cast<std::uint32_t>(0x10 + i);
+  return cases;
 }
 
 std::unique_ptr<Scheduler> build(const PolicyCase& pc, const GpuConfig& cfg) {
@@ -264,9 +278,9 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyConformance,
 //
 // GpuTop::step() advances each controller through MemoryController::advance,
 // which replays a cycle next_event() proves idle with advance_idle() instead
-// of ticking it, and the worker lanes of the event wheel advance channels over
-// whole spans the same way. Both must be bit-identical to tick() on every
-// cycle, for every policy. One seeded stream of bursts and idle gaps feeds
+// of ticking it, and the event wheel's memory-only spans skip idle runs the
+// same way (GpuTop::run_mem_span). Both must be bit-identical to tick() on
+// every cycle, for every policy. One seeded stream of bursts and idle gaps feeds
 // three controllers: `ref` ticks every cycle, `step` advances one cycle at a
 // time, `span` advances only from one arrival to the next.
 

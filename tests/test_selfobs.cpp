@@ -234,7 +234,7 @@ TEST(FlightRecorderDeathTest, AssertFailureDumpsRings) {
 // ---------------------------------------------------------------------------
 // The core contract: arming the whole self-observability layer — profiler,
 // heartbeat (armed but silent), flight recorder — changes no simulation
-// output byte, on one wheel lane and on four.
+// output byte.
 // ---------------------------------------------------------------------------
 
 // Excise one "key": {...} object (possibly holding nested containers) from a
@@ -265,14 +265,13 @@ struct RunFiles {
   std::string report;
 };
 
-RunFiles run_with_selfobs(const workloads::Workload& wl, unsigned shard, bool on,
+RunFiles run_with_selfobs(const workloads::Workload& wl, bool on,
                           const std::string& tag) {
   const std::string base = ::testing::TempDir() + "selfobs_" + tag;
   sim::RunConfig config;
   config.spec = core::make_scheme_spec(core::SchemeKind::kDynCombo, config.gpu.scheme);
   config.compute_error = false;
   config.ignore_env_outputs = true;
-  config.gpu.shard_threads = shard;
   config.trace_path = base + ".trace.jsonl";
   config.json_report_path = base + ".report.json";
   if (on) {
@@ -297,34 +296,29 @@ TEST(FlightRecorder, OnIsBitIdentical) {
   const auto wl = workloads::make_workload("SCP");
   ASSERT_NE(wl, nullptr);
 
-  for (const unsigned shard : {1u, 4u}) {
-    SCOPED_TRACE("shard " + std::to_string(shard));
-    const std::string tag = std::to_string(shard);
+  SelfProfiler::set_enabled(false);
+  const RunFiles off = run_with_selfobs(*wl, false, "off");
+  const RunFiles on = run_with_selfobs(*wl, true, "on");
+  SelfProfiler::set_enabled(false);
+  SelfProfiler::instance().reset();
 
-    SelfProfiler::set_enabled(false);
-    const RunFiles off = run_with_selfobs(*wl, shard, false, tag + "_off");
-    const RunFiles on = run_with_selfobs(*wl, shard, true, tag + "_on");
-    SelfProfiler::set_enabled(false);
-    SelfProfiler::instance().reset();
+  ASSERT_TRUE(off.metrics.finished);
+  EXPECT_EQ(off.metrics.core_cycles, on.metrics.core_cycles);
+  ASSERT_FALSE(off.trace.empty());
+  EXPECT_EQ(off.trace, on.trace);
 
-    ASSERT_TRUE(off.metrics.finished);
-    EXPECT_EQ(off.metrics.core_cycles, on.metrics.core_cycles);
-    ASSERT_FALSE(off.trace.empty());
-    EXPECT_EQ(off.trace, on.trace);
-
-    // Reports differ only in the wall-clock sections: "profile" (both runs)
-    // and "self_profile" (the armed run only).
-    const std::string off_rep =
-        strip_section(strip_section(off.report, "profile"), "self_profile");
-    const std::string on_rep =
-        strip_section(strip_section(on.report, "profile"), "self_profile");
-    ASSERT_FALSE(off_rep.empty());
-    EXPECT_EQ(off_rep, on_rep);
-    // The armed run actually produced the section it is allowed to add.
-    EXPECT_EQ(off.report.find("\"self_profile\""), std::string::npos);
-    EXPECT_NE(on.report.find("\"self_profile\""), std::string::npos);
-    EXPECT_NE(on.report.find("\"barrier_stall_seconds\""), std::string::npos);
-  }
+  // Reports differ only in the wall-clock sections: "profile" (both runs)
+  // and "self_profile" (the armed run only).
+  const std::string off_rep =
+      strip_section(strip_section(off.report, "profile"), "self_profile");
+  const std::string on_rep =
+      strip_section(strip_section(on.report, "profile"), "self_profile");
+  ASSERT_FALSE(off_rep.empty());
+  EXPECT_EQ(off_rep, on_rep);
+  // The armed run actually produced the section it is allowed to add.
+  EXPECT_EQ(off.report.find("\"self_profile\""), std::string::npos);
+  EXPECT_NE(on.report.find("\"self_profile\""), std::string::npos);
+  EXPECT_NE(on.report.find("\"mem_side_share\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -338,21 +332,15 @@ TEST(Heartbeat, EmitsRunHealthLines) {
   config.spec = core::make_scheme_spec(core::SchemeKind::kDynCombo, config.gpu.scheme);
   config.compute_error = false;
   config.ignore_env_outputs = true;
-  config.gpu.shard_threads = 4;
   config.gpu.heartbeat_seconds = 1e-9;  // Every deadline check fires.
-  // The per-lane utilization segment is gated on the self-profiler being
-  // armed (lane timing is attribution work, not free).
-  config.gpu.self_profile = true;
 
   ::testing::internal::CaptureStderr();
   const sim::RunMetrics m = sim::simulate(*wl, config);
   const std::string err = ::testing::internal::GetCapturedStderr();
-  telemetry::SelfProfiler::set_enabled(false);
-  telemetry::SelfProfiler::instance().reset();
   ASSERT_TRUE(m.finished);
   EXPECT_NE(err.find("hb core="), std::string::npos);
   EXPECT_NE(err.find("Mcyc/s"), std::string::npos);
-  EXPECT_NE(err.find("lanes="), std::string::npos);
+  EXPECT_NE(err.find("queued="), std::string::npos);
 }
 
 }  // namespace

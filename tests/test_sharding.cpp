@@ -1,16 +1,12 @@
-// Event-wheel run-loop tests: the wheel on one lane and on four worker lanes
-// must be bit-identical to a per-cycle reference loop (GpuTop::step() every
-// core cycle) in every metric, and lanes must be byte-identical in every
-// trace/report output — fast-forwarding and sharding are execution
-// strategies, never model changes. Also home to the stale-memo regression
+// Event-wheel run-loop tests: the wheel must be bit-identical to a per-cycle
+// reference loop (GpuTop::step() every core cycle) in every metric —
+// fast-forwarding is an execution strategy, never a model change. Also home
+// to the stale-memo regression
 // (DMS delay changes must invalidate the controller's bank horizon memos),
 // checked against the golden model.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,9 +48,7 @@ void expect_metrics_equal(const sim::RunMetrics& a, const sim::RunMetrics& b,
   EXPECT_DOUBLE_EQ(a.bwutil, b.bwutil);
 }
 
-sim::RunMetrics run_sharded(const workloads::Workload& wl, sim::RunConfig config,
-                            unsigned shard) {
-  config.gpu.shard_threads = shard;
+sim::RunMetrics run_wheel(const workloads::Workload& wl, sim::RunConfig config) {
   config.ignore_env_outputs = true;
   return sim::simulate(wl, config);
 }
@@ -76,18 +70,15 @@ sim::RunMetrics run_reference(const workloads::Workload& wl,
                               config.compute_error);
 }
 
-void expect_lanes_match_reference(const workloads::Workload& wl,
-                                  const sim::RunConfig& config,
-                                  const std::string& what) {
-  const sim::RunMetrics reference = run_reference(wl, config);
-  expect_metrics_equal(reference, run_sharded(wl, config, 1), what + " (wheel)");
-  expect_metrics_equal(reference, run_sharded(wl, config, 4), what + " (4 lanes)");
+void expect_wheel_matches_reference(const workloads::Workload& wl,
+                                    const sim::RunConfig& config,
+                                    const std::string& what) {
+  expect_metrics_equal(run_reference(wl, config), run_wheel(wl, config), what);
 }
 
 // The driver guarantee, proven rather than assumed: for every scheme of the
-// paper's matrix on three workloads, the serial event wheel (one lane) and
-// four worker lanes produce metrics bit-identical to the per-cycle
-// reference loop.
+// paper's matrix on three workloads, the event wheel produces metrics
+// bit-identical to the per-cycle reference loop.
 TEST(Sharding, LockstepAcrossSchemesAndWorkloads) {
   for (const char* name : {"SCP", "CONS", "MVT"}) {
     const auto wl = workloads::make_workload(name);
@@ -96,8 +87,8 @@ TEST(Sharding, LockstepAcrossSchemesAndWorkloads) {
       sim::RunConfig config;
       config.spec = core::make_scheme_spec(kind, config.gpu.scheme);
       config.compute_error = false;
-      expect_lanes_match_reference(*wl, config,
-                                   std::string(name) + " / " + core::scheme_name(kind));
+      expect_wheel_matches_reference(*wl, config,
+                                     std::string(name) + " / " + core::scheme_name(kind));
     }
   }
 }
@@ -127,57 +118,7 @@ TEST(Sharding, MixWorkloadLockstep) {
     qos.dms_delay_cap = t.dms_delay_cap;
     config.gpu.scheme.tenant_qos.push_back(qos);
   }
-  expect_lanes_match_reference(mix, config, "mix");
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-// The JSON report embeds host wall-clock profile fields; excise that one
-// flat object before comparing (everything else must match to the byte).
-std::string strip_profile(std::string json) {
-  const std::size_t key = json.find("\"profile\"");
-  if (key == std::string::npos) return json;
-  const std::size_t end = json.find('}', key);
-  if (end == std::string::npos) return json;
-  json.erase(key, end - key + 2);  // Includes the trailing "},".
-  return json;
-}
-
-// Telemetry is drained from per-lane buffers in (cycle, channel) order at
-// each barrier, so the JSONL trace and the JSON report (windows, stats,
-// lifecycle) are byte-identical between one lane and four.
-TEST(Sharding, ShardedTraceAndReportByteIdentical) {
-  const auto wl = workloads::make_workload("SCP");
-  ASSERT_NE(wl, nullptr);
-
-  std::string traces[2], reports[2];
-  const unsigned shards[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    const std::string base =
-        ::testing::TempDir() + "shard" + std::to_string(shards[i]);
-    sim::RunConfig config;
-    config.spec = core::make_scheme_spec(core::SchemeKind::kDynCombo, config.gpu.scheme);
-    config.compute_error = false;
-    config.ignore_env_outputs = true;
-    config.gpu.shard_threads = shards[i];
-    config.trace_path = base + ".trace.jsonl";
-    config.json_report_path = base + ".report.json";
-    const sim::RunMetrics m = sim::simulate(*wl, config);
-    ASSERT_TRUE(m.finished);
-    traces[i] = read_file(config.trace_path);
-    reports[i] = read_file(config.json_report_path);
-    std::remove(config.trace_path.c_str());
-    std::remove(config.json_report_path.c_str());
-  }
-  ASSERT_FALSE(traces[0].empty());
-  ASSERT_FALSE(reports[0].empty());
-  EXPECT_EQ(traces[0], traces[1]);
-  EXPECT_EQ(strip_profile(reports[0]), strip_profile(reports[1]));
+  expect_wheel_matches_reference(mix, config, "mix");
 }
 
 // Regression (stale horizon memos): the controller memoizes per-bank retry

@@ -9,6 +9,7 @@
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
 #include "workloads/registry.hpp"
 
 namespace lazydram {
@@ -102,32 +103,31 @@ TEST(Simulator, TraceSampleEnvAcceptsOnlyWholePositiveCounts) {
   EXPECT_EQ(sim::trace_sample_from_env(), 1u);
 }
 
-// LAZYDRAM_SHARD is a lane count 1..64. Anything else, 0 included, warns
-// and runs on one lane.
-TEST(Simulator, ShardEnvOutsideLaneRangeWarnsAndRuns) {
-  const auto lanes = [](const char* text) {
-    ::setenv("LAZYDRAM_SHARD", text, 1);
-    return sim::shard_threads_from_env();
-  };
-  EXPECT_EQ(lanes("4"), 4u);
-  EXPECT_EQ(lanes("64"), 64u);
-  EXPECT_EQ(lanes("65"), 1u);
-  EXPECT_EQ(lanes("-1"), 1u);
-  EXPECT_EQ(lanes("4x"), 1u);
-
-  const auto wl = workloads::make_workload("SCP");
-  ASSERT_NE(wl, nullptr);
-  sim::RunConfig config;
-  config.spec = core::make_scheme_spec(core::SchemeKind::kBaseline, config.gpu.scheme);
-  config.compute_error = false;
-  config.ignore_env_outputs = true;
-  ::setenv("LAZYDRAM_SHARD", "0", 1);
+// A heartbeat period is finite seconds in (0, one year]. inf, NaN and
+// overflowing values would make the wall-clock deadline arithmetic undefined,
+// so they warn and leave the heartbeat off like any other bad value.
+TEST(Simulator, HeartbeatPeriodRejectsNonFiniteAndOutOfRange) {
+  for (const char* text : {"inf", "nan", "1e300", "0", "-1", "2x"}) {
+    SCOPED_TRACE(text);
+    ::testing::internal::CaptureStderr();
+    const double v = sim::parse_heartbeat_seconds(text, "LAZYDRAM_HEARTBEAT");
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(v, 0.0);
+    EXPECT_NE(err.find(std::string("LAZYDRAM_HEARTBEAT='") + text + "'"), std::string::npos)
+        << err;
+  }
   ::testing::internal::CaptureStderr();
-  const sim::RunMetrics m = sim::simulate(*wl, config);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  ::unsetenv("LAZYDRAM_SHARD");
-  EXPECT_TRUE(m.finished);
-  EXPECT_NE(err.find("LAZYDRAM_SHARD='0'"), std::string::npos) << err;
+  EXPECT_EQ(sim::parse_heartbeat_seconds("0.5", "--heartbeat"), 0.5);
+  EXPECT_EQ(sim::parse_heartbeat_seconds("31536000", "--heartbeat"), sim::kMaxHeartbeatSeconds);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+  // The --heartbeat flag goes through the same parser.
+  char prog[] = "bench", flag[] = "--heartbeat", inf[] = "inf";
+  char* argv[] = {prog, flag, inf};
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(sim::parse_heartbeat(3, argv), 0.0);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("--heartbeat='inf'"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -40,11 +40,11 @@ def main():
     ap.add_argument("baseline", nargs="?", default=str(DEFAULT_BASELINE))
     ap.add_argument("--max-slowdown", type=float, default=2.0,
                     help="fail if wall time exceeds baseline by this factor")
-    ap.add_argument("--min-shard-speedup", type=float, default=3.0,
-                    help="fail if sharded.speedup falls below this (only "
-                         "checked when the baseline carries a sharded lane; "
+    ap.add_argument("--min-wheel-speedup", type=float, default=3.0,
+                    help="fail if wheel.speedup falls below this (only "
+                         "checked when the baseline carries a wheel lane; "
                          "0 disables, for reports from trace-mode runs that "
-                         "skip the sharded lane)")
+                         "skip the wheel lane)")
     ap.add_argument("--max-selfprof-overhead", type=float, default=0.0,
                     help="fail if the current report's self_profile.overhead "
                          "(profiler-on wall / profiler-off wall, a same-run "
@@ -75,30 +75,29 @@ def main():
         print(f"{name:<16} {b['wall_seconds']:>9.3f} {c['wall_seconds']:>11.3f} "
               f"{ratio:>6.2f}x{verdict}")
 
-    # Sharded-lane gate: the event-wheel + worker-lane driver must keep its
-    # wall-clock edge over the per-tick loop. The speedup is a same-machine
-    # same-run ratio (legacy wall / sharded wall from ONE report), so unlike
-    # the absolute wall times above it is robust to runner speed — a single
-    # core still clears the bar because the gain comes from the wheel's idle
-    # skipping, not lane parallelism. Only enforced when the baseline carries
-    # a sharded lane, so trace-mode reports (which skip it) stay gateable.
-    base_shard = base_report.get("sharded")
-    if base_shard is not None and args.min_shard_speedup > 0:
-        cur_shard = cur_report.get("sharded")
-        if cur_shard is None:
-            print("check_perf: current report lacks the sharded lane",
+    # Event-wheel gate: the wheel's idle skipping must keep its wall-clock
+    # edge over the per-tick loop. The speedup is a same-machine same-run
+    # ratio (legacy wall / wheel wall from ONE report), so unlike the
+    # absolute wall times above it is robust to runner speed. Only enforced
+    # when the baseline carries a wheel lane, so trace-mode reports (which
+    # skip it) stay gateable.
+    base_wheel = base_report.get("wheel")
+    if base_wheel is not None and args.min_wheel_speedup > 0:
+        cur_wheel = cur_report.get("wheel")
+        if cur_wheel is None:
+            print("check_perf: current report lacks the wheel lane",
                   file=sys.stderr)
-            failed.append("sharded")
+            failed.append("wheel")
         else:
-            speedup = cur_shard.get("speedup", 0.0)
+            speedup = cur_wheel.get("speedup", 0.0)
             verdict = ""
-            if speedup < args.min_shard_speedup:
-                failed.append("sharded")
-                verdict = f"  REGRESSION (< {args.min_shard_speedup:.1f}x)"
-            print(f"{'sharded':<16} {base_shard.get('speedup', 0.0):>8.2f}x "
+            if speedup < args.min_wheel_speedup:
+                failed.append("wheel")
+                verdict = f"  REGRESSION (< {args.min_wheel_speedup:.1f}x)"
+            print(f"{'wheel':<16} {base_wheel.get('speedup', 0.0):>8.2f}x "
                   f"{speedup:>10.2f}x {'':>7}{verdict}")
 
-    # Self-profiler overhead gate: like the sharded speedup, this is a
+    # Self-profiler overhead gate: like the wheel speedup, this is a
     # same-run same-machine ratio (on-wall / off-wall from ONE report), so it
     # is robust to runner speed and gets a tight bound (CI uses 1.05 = 5%).
     # Only checked against the current report — older baselines may predate

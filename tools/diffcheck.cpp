@@ -12,14 +12,6 @@
 // Usage:
 //   diffcheck [--workloads A,B,C] [--schemes Baseline,Dyn-DMS,...] [--list]
 //   diffcheck --policy frfcfs [--workloads A,B,C]
-//   diffcheck --shard N [...]
-//
-// `--shard N` runs the live simulation on N worker lanes of the event-wheel
-// driver (default 1, the serial wheel), diffing ITS request timelines
-// against the golden model — the differential proof that sharding is an
-// execution strategy, not a model change. Stream recording
-// pins every cycle (next_event defers to the recorder), so this exercises
-// the lane partitioning and barrier drain, not the idle skipping.
 //
 // Defaults: three workloads spanning the paper's behavior groups, all seven
 // schemes. `--policy` switches to the registry-policy lane: each workload runs
@@ -28,7 +20,6 @@
 // FR-FCFS-equivalent policies are expected to match — CI uses this lane with
 // "frfcfs" to pin the registry construction path itself.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -109,18 +100,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  lazydram::GpuConfig cfg;
-  if (const std::string sh = arg_value(argc, argv, "--shard"); !sh.empty()) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(sh.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v < 1 || v > 64) {
-      std::fprintf(stderr, "diffcheck: bad --shard '%s' (want a lane count 1..64)\n",
-                   sh.c_str());
-      return 2;
-    }
-    cfg.shard_threads = static_cast<unsigned>(v);
-  }
-  lazydram::sim::DiffHarness harness(cfg);
+  lazydram::sim::DiffHarness harness;
   unsigned failures = 0;
 
   if (const std::string policy = arg_value(argc, argv, "--policy"); !policy.empty()) {
