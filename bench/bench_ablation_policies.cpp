@@ -11,13 +11,13 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Ablation — FCFS / closed-row / delay-all-requests vs the paper design",
       "FR-FCFS + open-row is the locality-optimized baseline; DMS must "
       "exempt row hits from the age gate");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   TextTable table({"Workload", "FCFS acts", "ClosedRow acts", "DMS(128) acts",
                    "DelayAll(128) acts", "DMS(128) IPC", "DelayAll IPC"});
 
@@ -66,6 +66,6 @@ int main(int argc, char** argv) {
                    TextTable::num(ma.ipc / base.ipc, 3)});
   }
   table.print(std::cout);
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

@@ -9,13 +9,13 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Ablation — VP unit: search radius and predictor kind vs app error",
       "nearest-line prediction bounds error; radius trades search cost for "
       "donor quality (Section IV-D)");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   TextTable table({"Workload", "r=0", "r=1", "r=4", "r=8", "zero-fill"});
 
   const auto radius_config = [&](unsigned radius) {
@@ -54,6 +54,6 @@ int main(int argc, char** argv) {
     table.add_row(std::move(row));
   }
   table.print(std::cout);
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

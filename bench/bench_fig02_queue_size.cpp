@@ -9,13 +9,13 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 2 — activations vs pending queue size (normalized to 128)",
       "activations fall as the queue grows and saturate around size 128");
 
   const std::vector<unsigned> sizes = {16, 32, 64, 128, 256};
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
 
   const auto queue_config = [&](unsigned size) {
     sim::RunConfig rc;
@@ -56,6 +56,6 @@ int main(int argc, char** argv) {
   for (auto& v : per_size) gm.push_back(TextTable::num(sim::geomean(v), 3));
   table.add_row(std::move(gm));
   table.print(std::cout);
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 #include "core/scheduler_registry.hpp"
 #include "dram/address.hpp"
@@ -112,6 +113,7 @@ void write_windows(telemetry::JsonWriter& jw,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 3 — illustrative DMS example (8 requests, 4 rows, 2 waves)",
       "baseline: 8 activations, Avg-RBL 1; DMS(X): 4 activations, Avg-RBL 2");
@@ -125,7 +127,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dms.activations), dms.avg_rbl);
   print_windows("DMS(512)", dms.windows);
 
-  const std::string json_path = sim::json_output_path(argc, argv);
+  const std::string json_path = cli.get(knobs::kJson).text;
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {

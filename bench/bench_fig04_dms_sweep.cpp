@@ -8,14 +8,14 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 4 — DMS(X) sweep: normalized activations (a) and IPC (b)",
       "(a) activations drop with delay, avg reduction up to ~31% at 2048; "
       "(b) many apps keep >=95% IPC at moderate delays, dropping at large X");
 
   const std::vector<Cycle> delays = {64, 128, 256, 512, 1024, 2048};
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
 
   for (const std::string& app : sim::bench_workloads()) {
     runner.prefetch_baseline(app);
@@ -52,6 +52,6 @@ int main(int argc, char** argv) {
     std::cout << (ipc_view ? "\n(b) Normalized IPC\n" : "\n(a) Normalized activations\n");
     table.print(std::cout);
   }
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

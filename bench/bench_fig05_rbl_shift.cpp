@@ -9,13 +9,13 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 5 — activation proportions per RBL bucket vs DMS delay",
       "the RBL(1) activation share shrinks with delay; higher-RBL shares grow");
 
   const std::vector<Cycle> delays = {0, 64, 128, 256, 512, 1024, 2048};
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
 
   for (const std::string& app : {std::string("SCP"), std::string("FWT")}) {
     for (const Cycle d : delays) {
@@ -47,6 +47,6 @@ int main(int argc, char** argv) {
     std::cout << "\n" << app << ":\n";
     table.print(std::cout);
   }
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

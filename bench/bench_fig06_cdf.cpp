@@ -9,12 +9,12 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 6 — cumulative activation share vs request share, sorted by RBL",
       "GEMM: ~10% of requests (RBL1-2) -> ~65% of acts; 3MM: ~0.2% -> ~45%");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   for (const std::string& app : {std::string("GEMM"), std::string("3MM")})
     runner.prefetch_baseline(app);
   runner.flush();
@@ -46,6 +46,6 @@ int main(int argc, char** argv) {
                   total_acts > 0 ? act_cum / total_acts : 0.0);
     }
   }
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

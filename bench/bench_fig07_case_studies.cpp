@@ -40,13 +40,13 @@ void case_study(sim::ExperimentRunner& runner, const std::string& app,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 7 — AMS helps DMS (case studies LPS, SCP)",
       "(a) LPS: DMS gains little (2% at MTD), AMS(8) cuts ~16% acts and "
       "gains IPC; (b) SCP: AMS's IPC gain lets DMS adopt a larger delay");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   const SchemeParams& p = runner.config().scheme;
 
   const std::vector<std::pair<std::string, core::SchemeSpec>> lps_cases = {
@@ -65,6 +65,6 @@ int main(int argc, char** argv) {
 
   case_study(runner, "LPS", lps_cases);
   case_study(runner, "SCP", scp_cases);
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 #include "core/lazy_scheduler.hpp"
 #include "core/scheduler_registry.hpp"
@@ -133,6 +134,7 @@ void write_windows(telemetry::JsonWriter& jw,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 8 — DMS helps AMS pick the right victim (9 requests, 5 rows)",
       "AMS alone mis-drops an R1 request: Avg-RBL 1.8 -> 1.6; with DMS the "
@@ -151,7 +153,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(with_dms.dropped), with_dms.avg_rbl);
   print_windows("DMS + AMS(1)", with_dms.windows);
 
-  const std::string json_path = sim::json_output_path(argc, argv);
+  const std::string json_path = cli.get(knobs::kJson).text;
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {

@@ -9,12 +9,12 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 10 — IPC vs BWUTIL across applications and delays",
       "normalized IPC and normalized BWUTIL are linearly correlated");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   const std::vector<Cycle> delays = {0, 256, 1024, 2048};
 
   for (const std::string& app : sim::bench_workloads()) {
@@ -57,6 +57,6 @@ int main(int argc, char** argv) {
   }
   const double r = sxy / std::sqrt(std::max(sxx * syy, 1e-12));
   std::printf("\nPearson correlation (IPC vs BWUTIL): r = %.3f\n", r);
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

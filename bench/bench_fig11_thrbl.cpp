@@ -9,13 +9,13 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 11 — SCP: activations & coverage vs Th_RBL; request-share CDF",
       "(a) lowering Th_RBL from 8 to 1 further cuts activations at the same "
       "10% coverage; (b) >10% of requests sit in RBL(1) rows");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   const std::string app = "SCP";
   runner.prefetch_baseline(app);
   for (unsigned th = 8; th >= 1; --th)
@@ -48,6 +48,6 @@ int main(int argc, char** argv) {
                     ? "   <-- crosses the 10% coverage line"
                     : "");
   }
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

@@ -13,21 +13,13 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 12 — row energy / IPC / app error / coverage across schemes",
       "row energy: Static-DMS -8%, Dyn-DMS -12%, Static-AMS -33%, "
       "Dyn-DMS+AMS -44% (groups 1-3); IPC within 5%; avg error ~7%");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
-  // `--check strict|log` (or $LAZYDRAM_CHECK) runs every simulation under
-  // the DRAM protocol checker; CI uses this as its checked fig12 smoke.
-  runner.set_check(sim::parse_check(argc, argv));
-  // `--self-profile` arms the wall-clock zone profiler (self_profile section
-  // in per-run JSON reports); `--heartbeat SECONDS` prints live run-health
-  // lines to stderr. Both also respond to $LAZYDRAM_SELFPROF/HEARTBEAT.
-  runner.set_self_profile(sim::parse_self_profile(argc, argv));
-  runner.set_heartbeat(sim::parse_heartbeat(argc, argv));
+  sim::ExperimentRunner runner(cli);
   const std::vector<core::SchemeKind> schemes = {
       core::SchemeKind::kStaticDms,   core::SchemeKind::kDynDms,
       core::SchemeKind::kStaticAms,   core::SchemeKind::kDynAms,
@@ -119,6 +111,6 @@ int main(int argc, char** argv) {
                  " share " << TextTable::num(base_share, 3) << ")\n";
     table.print(std::cout);
   }
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

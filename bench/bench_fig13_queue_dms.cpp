@@ -9,13 +9,13 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 13 — activations vs queue size under DMS(2048), norm. to baseline",
       "activation counts stabilize from queue size 128 onward");
 
   const std::vector<unsigned> sizes = {32, 64, 128, 256};
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
 
   const auto queue_config = [&](unsigned size) {
     sim::RunConfig rc;
@@ -54,6 +54,6 @@ int main(int argc, char** argv) {
   for (auto& v : agg) gm.push_back(TextTable::num(sim::geomean(v), 3));
   table.add_row(std::move(gm));
   table.print(std::cout);
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

@@ -9,13 +9,13 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 14 — laplacian output quality under Dyn-DMS+Dyn-AMS",
       "at ~17% application error the sharpened image shows only limited "
       "quality degradation (see examples/image_approx for the PGMs)");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   runner.prefetch_baseline("laplacian");
   runner.prefetch_scheme("laplacian", core::SchemeKind::kDynCombo, /*compute_error=*/true);
   runner.flush();
@@ -32,6 +32,6 @@ int main(int argc, char** argv) {
               combo.coverage * 100, combo.app_error * 100);
   std::printf("\nRun `examples/image_approx` to write laplacian_exact.pgm / "
               "laplacian_approx.pgm for visual comparison.\n");
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

@@ -11,12 +11,12 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "Fig. 15 — Group-4 (low error tolerance) apps, delay-only schemes",
       "both DMS schemes cut row energy at <5% IPC loss; Dyn-DMS cuts more");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   for (const std::string& app : workloads::group4_workload_names()) {
     runner.prefetch_baseline(app);
     runner.prefetch_scheme(app, core::SchemeKind::kStaticDms, /*compute_error=*/false);
@@ -48,6 +48,6 @@ int main(int argc, char** argv) {
                  TextTable::num(sim::geomean(de), 3), TextTable::num(sim::geomean(si), 3),
                  TextTable::num(sim::geomean(di), 3)});
   table.print(std::cout);
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

@@ -11,13 +11,13 @@
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   sim::print_bench_header(
       "HBM projection — memory-system energy savings of Dyn-DMS+Dyn-AMS",
       "~22% memory energy on HBM1 (50% row share), ~11% on HBM2 (25%); "
       "up to 8W saved or ~90 GB/s extra peak bandwidth at 60W");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   for (const std::string& app : workloads::fig12_workload_names()) {
     runner.prefetch_baseline(app);
     runner.prefetch_scheme(app, core::SchemeKind::kDynCombo, /*compute_error=*/false);
@@ -88,6 +88,6 @@ int main(int argc, char** argv) {
   std::printf("At a %.0fW memory budget (HBM2): %.1fW power headroom, or ~%.0f GB/s "
               "additional peak bandwidth at iso-power\n",
               kMemBudgetW, hbm2 * kMemBudgetW, hbm2 * kHbm2PeakGBs);
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

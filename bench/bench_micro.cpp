@@ -12,11 +12,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -25,6 +22,7 @@
 #include "cache/cache.hpp"
 #include "common/assert.hpp"
 #include "common/config.hpp"
+#include "common/knobs.hpp"
 #include "common/rng.hpp"
 #include "core/lazy_scheduler.hpp"
 #include "core/scheduler_registry.hpp"
@@ -150,13 +148,8 @@ struct SchemePerf {
 SchemePerf drive_controller(core::SchemeKind kind, Cycle total_cycles,
                             telemetry::Telemetry* tele = nullptr) {
   GpuConfig cfg;  // fig12 configuration: Table I defaults.
-  // Honor the same A/B knob as sim::simulate for the power accountant:
-  // `LAZYDRAM_POWER=off bench_micro --perf` measures the accounting-free
-  // hot path.
-  if (const char* power = std::getenv("LAZYDRAM_POWER"); power != nullptr) {
-    if (std::string_view(power) == "off" || std::string_view(power) == "0")
-      cfg.power_accounting = false;
-  }
+  // LAZYDRAM_POWER=off measures the accounting-free hot path, as in simulate.
+  cfg.power_accounting = knobs::on(knobs::kPower, cfg.power_accounting);
   AddressMapper mapper(cfg);
   core::SchemeSpec spec = core::make_scheme_spec(kind, cfg.scheme);
   std::unique_ptr<Scheduler> sched = core::make_scheduler(cfg, spec);
@@ -577,46 +570,16 @@ int run_perf(const std::string& out_path, Cycle cycles_per_scheme,
   return 0;
 }
 
-/// Whole-string unsigned integer in [lo, hi]; false on anything else
-/// (strtoull alone takes "8x" as 8, "x" as 0 and wraps "-3").
-bool parse_count(const char* text, unsigned long long lo, unsigned long long hi,
-                 unsigned long long& out) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno != 0 || v < lo || v > hi) return false;
-  out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool perf = false;
-  std::string out_path = "BENCH_perf.json";
-  std::string trace_dir;
-  Cycle cycles_per_scheme = 2'000'000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--perf") == 0) {
-      perf = true;
-    } else if (std::strcmp(argv[i], "--perf-out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--perf-cycles") == 0 && i + 1 < argc) {
-      unsigned long long v = 0;
-      if (!parse_count(argv[++i], 1, kNeverCycle - 1, v)) {
-        std::fprintf(stderr, "bench_micro: --perf-cycles wants a positive integer, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      cycles_per_scheme = static_cast<Cycle>(v);
-    } else if (std::strcmp(argv[i], "--perf-trace") == 0 && i + 1 < argc) {
-      // Existing directory to drop one chrome trace per scheme into; turns
-      // the harness into the tracing-on overhead measurement.
-      trace_dir = argv[++i];
-    }
+  // Without --perf every argument belongs to Google Benchmark.
+  if (std::find(argv + 1, argv + argc, std::string_view("--perf")) != argv + argc) {
+    const knobs::Cli cli = knobs::parse_or_exit(
+        argc, argv, {&knobs::kPerf, &knobs::kPerfOut, &knobs::kPerfCycles, &knobs::kPerfTrace});
+    return run_perf(cli.get(knobs::kPerfOut).text, cli.get(knobs::kPerfCycles).count,
+                    cli.get(knobs::kPerfTrace).text);
   }
-  if (perf) return run_perf(out_path, cycles_per_scheme, trace_dir);
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

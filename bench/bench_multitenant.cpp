@@ -4,87 +4,49 @@
 // per-tenant AMS coverage against its cap, and per-tenant read-latency tail
 // percentiles — plus the Jain fairness index over the slowdowns.
 //
-// Usage:
-//   bench_multitenant [--tenants SPEC] [--scheme NAME] [--duration CYCLES]
-//                     [--seed N] [--jobs N] [--check MODE] [--json PATH]
-//
-//   --tenants   ';'-separated tenant specs (see src/gpu/tenant.hpp for the
-//               grammar), e.g. "SCP:cap=0.05;CONS+MVT:think=2000,approx=0"
-//   --scheme    one of the seven paper schemes (default dyn-combo, the
-//               scheme whose DMS+AMS budgets tenancy partitions)
-//   --duration  max core cycles before the run is declared stuck
-//   --jobs      parallel alone-run baseline lanes (output is identical for
-//               any value; --jobs 2 vs 1 is the CI determinism probe)
-//   --check     protocol checker mode (off | log | strict)
-//   --json      machine-readable report (metrics + per-tenant slices +
-//               alone baselines; byte-stable across --jobs values)
-#include <cstdlib>
-#include <cstring>
+// Flags: EXPERIMENTS.md "Knobs" (--jobs sets the parallel alone-run baseline
+// lanes; output is identical for any value).
 #include <iostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "common/table.hpp"
 #include "core/scheme.hpp"
 #include "sim/multitenant.hpp"
 #include "sim/report.hpp"
 #include "sim/sweep.hpp"
 
-namespace {
-
-std::string arg_value(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  return "";
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(
+      argc, argv, {&knobs::kTenants, &knobs::kScheme, &knobs::kDuration, &knobs::kSeed});
   sim::print_bench_header(
       "Multi-tenant mix — per-client slowdown, fairness and QoS budgets",
       "beyond the paper: its single-app DMS/AMS knobs become per-tenant "
       "budgets when independent clients share the memory system");
 
-  std::string tenants_text = arg_value(argc, argv, "--tenants");
-  if (tenants_text.empty())
-    tenants_text = "SCP:warps=480,cap=0.05;CONS:warps=480,think=2000;MVT:warps=480,approx=0";
-
-  std::uint64_t seed = 1;
-  if (const std::string s = arg_value(argc, argv, "--seed"); !s.empty())
-    seed = std::strtoull(s.c_str(), nullptr, 10);
+  const std::string tenants_text = cli.get(knobs::kTenants).text;
+  const std::uint64_t seed = cli.get(knobs::kSeed).count;
 
   sim::RunConfig rc;
-  rc.check = sim::parse_check(argc, argv);
-  if (const std::string d = arg_value(argc, argv, "--duration"); !d.empty())
-    rc.max_core_cycles = std::strtoull(d.c_str(), nullptr, 10);
+  rc.check = cli.get(knobs::kCheck).text;
+  rc.gpu.self_profile = cli.get(knobs::kSelfProfile).on;
+  rc.gpu.heartbeat_seconds = cli.get(knobs::kHeartbeat).seconds;
+  if (cli.has(knobs::kDuration)) rc.max_core_cycles = cli.get(knobs::kDuration).count;
 
-  std::string scheme_text = arg_value(argc, argv, "--scheme");
-  if (scheme_text.empty()) scheme_text = "dyn-combo";
-  core::SchemeKind kind;
-  if (scheme_text == "baseline") kind = core::SchemeKind::kBaseline;
-  else if (scheme_text == "static-dms") kind = core::SchemeKind::kStaticDms;
-  else if (scheme_text == "dyn-dms") kind = core::SchemeKind::kDynDms;
-  else if (scheme_text == "static-ams") kind = core::SchemeKind::kStaticAms;
-  else if (scheme_text == "dyn-ams") kind = core::SchemeKind::kDynAms;
-  else if (scheme_text == "static-combo") kind = core::SchemeKind::kStaticCombo;
-  else if (scheme_text == "dyn-combo") kind = core::SchemeKind::kDynCombo;
-  else {
-    std::cerr << "bench_multitenant: unknown --scheme '" << scheme_text
-              << "' (want baseline|static-dms|dyn-dms|static-ams|dyn-ams|"
-                 "static-combo|dyn-combo)\n";
-    return 2;
-  }
+  // The --scheme words are listed in core::all_schemes() order.
+  const std::string scheme_text = cli.get(knobs::kScheme).text;
+  const core::SchemeKind kind =
+      core::all_schemes()[*knobs::word_index(knobs::kScheme, scheme_text)];
   rc.spec = core::make_scheme_spec(kind, rc.gpu.scheme);
 
   std::vector<gpu::TenantSpec> specs;
   try {
     specs = gpu::parse_tenant_specs(tenants_text);
   } catch (const std::invalid_argument& e) {
-    std::cerr << "bench_multitenant: bad --tenants: " << e.what() << "\n";
-    return 2;
+    cli.fail(std::string("bad --tenants: ") + e.what());
   }
   gpu::TenantSet tenants(std::move(specs), seed);
 
@@ -101,7 +63,7 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  const unsigned jobs = sim::parse_jobs(argc, argv);
+  const unsigned jobs = sim::default_jobs(cli.get(knobs::kJobs).count);
   sim::MultitenantResult result;
   try {
     result = sim::run_multitenant(tenants, rc, jobs);
@@ -129,7 +91,7 @@ int main(int argc, char** argv) {
             << TextTable::num(m.jain_fairness, 4) << "  (1.0 = perfectly fair, 1/"
             << (m.tenants.empty() ? 1 : m.tenants.size()) << " = one tenant starved)\n";
 
-  const std::string json_path = sim::json_output_path(argc, argv);
+  const std::string json_path = cli.get(knobs::kJson).text;
   if (!json_path.empty() && sim::write_multitenant_report(json_path, result))
     std::cout << "\nJSON report written to " << json_path << "\n";
   return 0;

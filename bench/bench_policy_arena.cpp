@@ -12,9 +12,7 @@
 //   autotune  — hill-climbing delay autotuner, the Dyn-DMS rival
 //
 // The Dyn-DMS paper scheme rides along as the reference the autotuner is
-// chasing. Usage:
-//   bench_policy_arena [--policies csv] [--check strict] [--jobs N] [--json p]
-#include <cstring>
+// chasing.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -24,32 +22,9 @@
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 
-namespace {
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-std::string arg_value(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  return "";
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv, {&knobs::kPolicies});
   sim::print_bench_header(
       "Policy arena — registry scheduler rivals vs the FR-FCFS baseline",
       "FCFS shows what reordering buys; BLISS/Batch-RR trade locality for "
@@ -59,17 +34,11 @@ int main(int argc, char** argv) {
   // (e.g. --policies "frfcfs,bliss:threshold=8,batch-rr:cap=2"). Note the
   // grammar's own commas separate keys, so per-policy keys cannot be combined
   // with --policies CSV — tune via $LAZYDRAM_POLICY runs instead.
-  std::vector<std::string> specs = {"frfcfs", "fcfs", "bliss", "batch-rr", "autotune"};
-  if (const std::string p = arg_value(argc, argv, "--policies"); !p.empty())
-    specs = split_csv(p);
+  const std::vector<std::string> specs = knobs::split(cli.get(knobs::kPolicies).text);
 
   const std::vector<std::string> apps = {"SCP", "inversek2j", "CONS"};
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
-  runner.set_check(sim::parse_check(argc, argv));
-  runner.set_self_profile(sim::parse_self_profile(argc, argv));
-  runner.set_heartbeat(sim::parse_heartbeat(argc, argv));
+  sim::ExperimentRunner runner(cli);
 
   struct Lane {
     std::string spec;
@@ -82,11 +51,8 @@ int main(int argc, char** argv) {
     lane.spec = spec;
     lane.rc.gpu = runner.config();
     std::string error;
-    if (!core::parse_policy_spec(spec, lane.rc.gpu, &error)) {
-      std::cerr << "bench_policy_arena: bad --policies entry '" << spec << "': " << error
-                << "\n";
-      return 2;
-    }
+    if (!core::parse_policy_spec(spec, lane.rc.gpu, &error))
+      cli.fail("bad --policies entry '" + spec + "': " + error);
     lane.label = core::run_label(lane.rc.gpu, lane.rc.spec);
     lane.rc.compute_error = false;
     lanes.push_back(std::move(lane));
@@ -141,6 +107,6 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

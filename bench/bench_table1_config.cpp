@@ -2,11 +2,13 @@
 #include <iostream>
 
 #include "common/config.hpp"
+#include "common/knobs.hpp"
 #include "common/table.hpp"
 #include "sim/report.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lazydram;
+  knobs::bench_cli(argc, argv);
   sim::print_bench_header("Table I — simulated GPU configuration",
                           "30 SMs @1400MHz, 6 GDDR5 MCs @924MHz, FR-FCFS, "
                           "128-entry pending queues, Hynix GDDR5 timing");

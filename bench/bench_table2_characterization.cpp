@@ -3,12 +3,14 @@
 // to the paper's (our declared target) for validation.
 #include <iostream>
 
+#include "common/knobs.hpp"
 #include "common/table.hpp"
 #include "sim/characterize.hpp"
 #include "sim/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace lazydram;
+  const knobs::Cli cli = knobs::bench_cli(argc, argv);
   using workloads::level_name;
 
   sim::print_bench_header(
@@ -16,8 +18,7 @@ int main(int argc, char** argv) {
       "each app's thrashing level, delay tolerance, activation sensitivity, "
       "Th_RBL sensitivity and error tolerance (Table III thresholds)");
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   TextTable table({"Workload", "Grp", "Thrash(meas/target)", "DelayTol", "ActSens",
                    "ThSens", "ErrTol", "rbl18%", "MTD", "dAct@2048", "err%", "cov%"});
 
@@ -50,6 +51,6 @@ int main(int argc, char** argv) {
   std::cout << "(Table III thresholds: thrashing 3%/10% of requests in RBL(1-8) rows; "
                "delay tolerance MTD 256/1024; act sensitivity 10%/20% at DMS(2048); "
                "Th_RBL sensitivity 5%; error tolerance 20%/5%.)\n";
-  runner.write_sweep_report(sim::json_output_path(argc, argv));
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/knobs.hpp"
 #include "common/table.hpp"
 #include "core/scheduler_registry.hpp"
 #include "gpu/gpu_top.hpp"
@@ -59,8 +60,10 @@ sim::RunMetrics run_one(const workloads::Workload& wl, const GpuConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string app = argc > 1 ? argv[1] : "SCP";
-  const auto wl = workloads::make_workload(app);
+  const knobs::Cli cli = knobs::parse_or_exit(argc, argv, {}, "[WORKLOAD]", 1);
+  const std::string app = cli.operands().empty() ? "SCP" : cli.operands()[0];
+  const auto wl = workloads::find_workload(app);
+  if (wl == nullptr) cli.fail(workloads::unknown_workload_message(app));
 
   // One registration makes the policy constructible by name everywhere the
   // registry reaches: here, LAZYDRAM_POLICY=densest-row, bench --policy.

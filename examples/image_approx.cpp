@@ -6,6 +6,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/knobs.hpp"
 #include "core/scheduler_registry.hpp"
 #include "gpu/gpu_top.hpp"
 #include "workloads/apps.hpp"
@@ -16,7 +17,8 @@ int main(int argc, char** argv) {
   using namespace lazydram;
   namespace layout = workloads::laplacian_layout;
 
-  const std::string dir = argc > 1 ? argv[1] : ".";
+  const knobs::Cli cli = knobs::parse_or_exit(argc, argv, {}, "[OUTPUT-DIR]", 1);
+  const std::string dir = cli.operands().empty() ? "." : cli.operands()[0];
   const auto workload = workloads::make_workload("laplacian");
 
   GpuConfig cfg;

@@ -5,6 +5,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/knobs.hpp"
 #include "common/table.hpp"
 #include "core/scheme.hpp"
 #include "sim/simulator.hpp"
@@ -13,8 +14,10 @@
 int main(int argc, char** argv) {
   using namespace lazydram;
 
-  const std::string name = argc > 1 ? argv[1] : "SCP";
-  const auto workload = workloads::make_workload(name);
+  const knobs::Cli cli = knobs::parse_or_exit(argc, argv, {}, "[WORKLOAD]", 1);
+  const std::string name = cli.operands().empty() ? "SCP" : cli.operands()[0];
+  const auto workload = workloads::find_workload(name);
+  if (workload == nullptr) cli.fail(workloads::unknown_workload_message(name));
 
   std::cout << "lazydram quickstart — workload: " << workload->name() << " ("
             << workload->description() << ")\n\n";

@@ -2,9 +2,8 @@
 // range over any workload, printing the trade-off surface (activations, IPC,
 // coverage, error). Shows how a user tunes the lazy scheduler for a new app.
 //
-// Usage: scheme_explorer [workload] [max-delay] [max-th]
-//   e.g. scheme_explorer BICG 512 4
-#include <cstdlib>
+// Usage: scheme_explorer [workload] [max-delay] [max-th] [bench flags]
+//   e.g. scheme_explorer BICG 512 4 --jobs 4
 #include <iostream>
 #include <string>
 
@@ -15,9 +14,22 @@
 int main(int argc, char** argv) {
   using namespace lazydram;
 
-  const std::string app = argc > 1 ? argv[1] : "SCP";
-  const Cycle max_delay = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 512;
-  const unsigned max_th = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 8;
+  const knobs::Cli cli =
+      knobs::parse_or_exit(argc, argv, knobs::bench_rows(), "[WORKLOAD] [MAX-DELAY] [MAX-TH]", 3);
+  const std::vector<std::string>& ops = cli.operands();
+  const std::string app = ops.empty() ? "SCP" : ops[0];
+  if (workloads::find_workload(app) == nullptr)
+    cli.fail(workloads::unknown_workload_message(app));
+  // The bound keeps the grid loops below (delay += 128, th *= 2) finite.
+  constexpr knobs::Knob kBound{.kind = knobs::Kind::kCount, .hi = 1u << 20};
+  const auto operand = [&](std::size_t i, std::uint64_t fallback) {
+    knobs::Value v{fallback};
+    if (ops.size() > i && !knobs::parse(kBound, ops[i], &v))
+      cli.fail("'" + ops[i] + "' not recognized (want " + knobs::accepted(kBound) + ")");
+    return v.count;
+  };
+  const Cycle max_delay = operand(1, 512);
+  const unsigned max_th = static_cast<unsigned>(operand(2, 8));
 
   const auto spec_for = [](const sim::ExperimentRunner& runner, Cycle delay, unsigned th) {
     core::SchemeSpec spec;
@@ -31,8 +43,7 @@ int main(int argc, char** argv) {
     return spec;
   };
 
-  sim::ExperimentRunner runner;
-  runner.set_jobs(sim::parse_jobs(argc, argv));
+  sim::ExperimentRunner runner(cli);
   runner.prefetch_baseline(app);
   for (Cycle delay = 0; delay <= max_delay; delay += 128)
     for (unsigned th = 0; th <= max_th; th = th == 0 ? 1 : th * 2)
@@ -61,5 +72,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\nAll values normalized to the FR-FCFS baseline.\n";
+  runner.write_sweep_report(cli.get(knobs::kJson).text);
   return 0;
 }

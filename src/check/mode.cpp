@@ -1,17 +1,13 @@
 #include "check/mode.hpp"
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
+#include "common/knobs.hpp"
 
 namespace lazydram::check {
 
 CheckMode parse_check_mode(const std::string& text) {
-  if (text.empty() || text == "off") return CheckMode::kOff;
-  if (text == "log") return CheckMode::kLog;
-  if (text == "strict") return CheckMode::kStrict;
-  log_warn("unknown check mode '%s' (want off|log|strict); checking disabled",
-           text.c_str());
-  return CheckMode::kOff;
+  // The kCheck row lists the modes in CheckMode order.
+  return static_cast<CheckMode>(knobs::word_index(knobs::kCheck, text).value_or(0));
 }
 
 const char* check_mode_name(CheckMode mode) {

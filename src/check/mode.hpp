@@ -1,4 +1,4 @@
-// Runtime verification modes (--check / $LAZYDRAM_CHECK).
+// Runtime verification modes (knobs::kCheck: --check / LAZYDRAM_CHECK).
 //
 //   off    - no checking (the default; zero cost on the hot path).
 //   log    - violations are recorded, counted, traced and log_warn'ed; the
@@ -25,9 +25,8 @@ class ViolationError : public std::runtime_error {
   explicit ViolationError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Parses "off" / "log" / "strict" (empty string means kOff). An unknown
-/// value logs a warning and falls back to kOff rather than aborting: a typo
-/// in $LAZYDRAM_CHECK must not kill an otherwise healthy sweep.
+/// Parses "off" / "log" / "strict"; anything else is kOff (knobs::kCheck
+/// checks the value first and warns about a typo).
 CheckMode parse_check_mode(const std::string& text);
 
 const char* check_mode_name(CheckMode mode);

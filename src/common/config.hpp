@@ -126,7 +126,7 @@ struct SchemeParams {
 /// Per-policy knobs for the scheduler plugins behind the SchedulerRegistry
 /// (src/core/scheduler_registry.*). `name` selects the policy; only the
 /// block matching the selected policy is read, the rest is inert. Parsed
-/// from $LAZYDRAM_POLICY ("name[:key=value,...]") and bench CLI flags.
+/// from "name[:key=value,...]" specs (knobs::kPolicy, bench_policy_arena).
 struct PolicyParams {
   /// Registry name of the scheduling policy: "lazy" (the paper's
   /// DMS/AMS-capable scheduler, configured by a SchemeSpec), "frfcfs",
@@ -202,8 +202,7 @@ struct GpuConfig {
   /// Enables the per-bank state-residency power accountant (src/dram/power).
   /// Strictly passive — results are bit-identical either way (proven by
   /// PowerAccounting.OffIsBitIdentical); off only removes the O(1)-per-
-  /// command bookkeeping and the energy-breakdown outputs.
-  /// LAZYDRAM_POWER=off (or =0) disables it for A/B comparison.
+  /// command bookkeeping and the energy-breakdown outputs. knobs::kPower.
   bool power_accounting = true;
 
   /// Arms the wall-clock self-profiler (telemetry/selfprof) for this run:
@@ -211,14 +210,12 @@ struct GpuConfig {
   /// self_profile block in the JSON run report. Strictly passive — results
   /// and trace output are byte-identical either way (proven by
   /// FlightRecorder.OnIsBitIdentical); the overhead is gated at 5% by
-  /// bench_micro --perf. LAZYDRAM_SELFPROF=1 (or --self-profile on the
-  /// figure benches) enables it for full-simulation runs.
+  /// bench_micro --perf. knobs::kSelfProfile.
   bool self_profile = false;
 
   /// Emits a run-health status line to stderr every this-many wall-clock
   /// seconds (sim cycles, Mcyc/s, warps done, ETA, queue depth). 0
-  /// disables. LAZYDRAM_HEARTBEAT=seconds (or --heartbeat) selects it for
-  /// full-simulation runs; both accept finite periods up to one year.
+  /// disables. knobs::kHeartbeat.
   double heartbeat_seconds = 0.0;
 
   std::uint64_t seed = 0x1aE5D8A3u;

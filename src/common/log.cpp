@@ -4,9 +4,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
+
+#include "common/knobs.hpp"
 
 namespace lazydram {
 
@@ -14,21 +14,13 @@ namespace {
 LogLevel g_level = LogLevel::kWarn;
 bool g_level_set = false;
 
-LogLevel level_from_env() {
-  const char* v = std::getenv("LAZYDRAM_LOG");
-  if (v == nullptr) return LogLevel::kWarn;
-  if (std::strcmp(v, "silent") == 0 || std::strcmp(v, "0") == 0) return LogLevel::kSilent;
-  if (std::strcmp(v, "warn") == 0 || std::strcmp(v, "1") == 0) return LogLevel::kWarn;
-  if (std::strcmp(v, "info") == 0 || std::strcmp(v, "2") == 0) return LogLevel::kInfo;
-  if (std::strcmp(v, "debug") == 0 || std::strcmp(v, "3") == 0) return LogLevel::kDebug;
-  std::fprintf(stderr, "[lazydram:warn] unknown LAZYDRAM_LOG value '%s' (want silent|warn|info|debug)\n", v);
-  return LogLevel::kWarn;
-}
-
 LogLevel effective_level() {
   if (!g_level_set) {
-    g_level = level_from_env();
+    // Set first: a malformed LAZYDRAM_LOG warns through log_warn at the
+    // default level. The word list is silent|warn|info|debug|0|1|2|3.
     g_level_set = true;
+    g_level = static_cast<LogLevel>(
+        knobs::word_index(knobs::kLog, knobs::text(knobs::kLog)).value_or(1) % 4);
   }
   return g_level;
 }

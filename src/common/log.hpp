@@ -1,8 +1,7 @@
 // Minimal leveled logging. Warnings are on by default (misconfiguration must
 // not fail silently); info/debug are off so benches print only their tables.
-// The level can be raised per-process with set_log_level() or the
-// LAZYDRAM_LOG environment variable (silent|warn|info|debug), parsed once at
-// first use.
+// The level can be raised per-process with set_log_level() or
+// knobs::kLog, read once at first use.
 //
 // Every line goes through one mutex-guarded writer that formats the whole
 // line into a buffer and emits it with a single fwrite, so concurrent sweep

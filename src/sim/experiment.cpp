@@ -9,6 +9,15 @@ ExperimentRunner::ExperimentRunner(GpuConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate();
 }
 
+ExperimentRunner::ExperimentRunner(const knobs::Cli& cli, GpuConfig cfg)
+    : ExperimentRunner(std::move(cfg)) {
+  // Only what the line set is stamped in; simulate_full reads the environment.
+  engine_.set_jobs(static_cast<unsigned>(cli.get(knobs::kJobs).count));
+  if (cli.has(knobs::kCheck)) check_ = cli.get(knobs::kCheck).text;
+  cfg_.self_profile |= cli.has(knobs::kSelfProfile);
+  if (cli.has(knobs::kHeartbeat)) cfg_.heartbeat_seconds = cli.get(knobs::kHeartbeat).seconds;
+}
+
 std::string spec_key(const core::SchemeSpec& spec) {
   std::string key = core::scheme_name(spec.kind);
   if (spec.dms_enabled && !spec.dms_dynamic)
@@ -24,12 +33,10 @@ RunConfig ExperimentRunner::make_config(const core::SchemeSpec& spec,
   config.gpu = cfg_;
   config.spec = spec;
   config.compute_error = compute_error;
-  config.check = check_;
   return config;
 }
 
-const RunMetrics& ExperimentRunner::run_keyed(const std::string& workload,
-                                              const RunConfig& config,
+const RunMetrics& ExperimentRunner::run_keyed(const std::string& workload, RunConfig config,
                                               const std::string& key) {
   const std::string cache_key = workload + "|" + key;
   const auto it = cache_.find(cache_key);
@@ -37,6 +44,7 @@ const RunMetrics& ExperimentRunner::run_keyed(const std::string& workload,
 
   log_info("running %s", cache_key.c_str());
   const auto wl = workloads::make_workload(workload);
+  if (config.check.empty()) config.check = check_;
   RunMetrics metrics = simulate(*wl, config);
   return cache_.emplace(cache_key, std::move(metrics)).first->second;
 }
@@ -70,6 +78,7 @@ void ExperimentRunner::prefetch_custom(const std::string& workload,
   const std::string cache_key = workload + "|" + key;
   if (cache_.count(cache_key) != 0 || !pending_keys_.insert(cache_key).second) return;
   pending_.push_back(SweepJob{workload, config, cache_key});
+  if (config.check.empty()) pending_.back().config.check = check_;
 }
 
 void ExperimentRunner::prefetch(const std::string& workload, const core::SchemeSpec& spec,

@@ -5,7 +5,7 @@
 //
 // Benches declare their whole grid up front with the prefetch_* mirrors of
 // the run_* calls, then flush(): the pending jobs fan out across the
-// SweepEngine's worker threads (--jobs / $LAZYDRAM_JOBS) and land in the
+// SweepEngine's worker threads (knobs::kJobs) and land in the
 // cache, after which the run_* calls are pure lookups. Results are inserted
 // in submission order and each job is fully isolated, so bench output is
 // byte-identical whatever the job count; anything not prefetched simply
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/knobs.hpp"
 #include "core/scheme.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
@@ -27,6 +28,10 @@ namespace lazydram::sim {
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(GpuConfig cfg = GpuConfig{});
+
+  /// A bench driver's runner: the command line's --jobs, --check,
+  /// --self-profile and --heartbeat apply to every run it launches.
+  explicit ExperimentRunner(const knobs::Cli& cli, GpuConfig cfg = GpuConfig{});
 
   /// Runs `workload` under `spec` (cached). Application error is computed
   /// for AMS-bearing schemes unless `compute_error` is false.
@@ -45,30 +50,6 @@ class ExperimentRunner {
                                const std::string& key);
 
   // --- Parallel prefetch ---------------------------------------------------
-
-  /// Worker threads used by flush(). Defaults to default_jobs().
-  void set_jobs(unsigned jobs) { engine_.set_jobs(jobs); }
-  unsigned jobs() const { return engine_.jobs(); }
-
-  /// Protocol-checker mode for every run this runner launches, serial or
-  /// flushed ("off" | "log" | "strict"; "" defers to $LAZYDRAM_CHECK).
-  void set_check(const std::string& mode) {
-    check_ = mode;
-    engine_.set_check(mode);
-  }
-
-  /// Arms the wall-clock self-profiler for every run this runner launches
-  /// (--self-profile). The profiler is process-global and sticky once armed,
-  /// so this only ever turns it on.
-  void set_self_profile(bool on) {
-    if (on) cfg_.self_profile = true;
-  }
-
-  /// Live run-health heartbeat period for every run (--heartbeat SECONDS);
-  /// <= 0 leaves it off ($LAZYDRAM_HEARTBEAT can still enable it per-run).
-  void set_heartbeat(double seconds) {
-    if (seconds > 0.0) cfg_.heartbeat_seconds = seconds;
-  }
 
   /// Queue the run_* counterpart's job for the next flush() (no-ops when the
   /// result is already cached or already queued).
@@ -99,11 +80,11 @@ class ExperimentRunner {
 
  private:
   RunConfig make_config(const core::SchemeSpec& spec, bool compute_error) const;
-  const RunMetrics& run_keyed(const std::string& workload, const RunConfig& config,
+  const RunMetrics& run_keyed(const std::string& workload, RunConfig config,
                               const std::string& key);
 
   GpuConfig cfg_;
-  std::string check_;  ///< Checker mode stamped into every make_config().
+  std::string check_;  ///< --check, stamped into every run whose `check` is empty.
   std::map<std::string, RunMetrics> cache_;
 
   SweepEngine engine_;

@@ -2,9 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 #include "workloads/registry.hpp"
 
@@ -35,28 +34,10 @@ void print_bench_header(const std::string& experiment, const std::string& paper_
   std::printf("==============================================================\n");
 }
 
-bool full_sweep_requested() {
-  const char* v = std::getenv("LAZYDRAM_FULL");
-  return v != nullptr && v[0] == '1';
-}
-
 std::vector<std::string> bench_workloads() {
-  if (full_sweep_requested()) return workloads::all_workload_names();
+  if (knobs::env(knobs::kFull).on) return workloads::all_workload_names();
   // Representative subset: every group, every feature level represented.
   return {"SCP", "LPS", "GEMM", "MVT", "RAY", "FWT", "3MM", "blackscholes"};
-}
-
-std::string json_output_path(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") != 0) continue;
-    if (i + 1 >= argc) {
-      log_warn("--json given without a path; ignoring");
-      break;
-    }
-    return argv[i + 1];
-  }
-  const char* env = std::getenv("LAZYDRAM_JSON");
-  return env == nullptr ? std::string{} : std::string{env};
 }
 
 }  // namespace lazydram::sim

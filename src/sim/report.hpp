@@ -22,18 +22,8 @@ double ratio(double value, double base);
 /// reported, so every bench's output is self-describing.
 void print_bench_header(const std::string& experiment, const std::string& paper_result);
 
-/// True when LAZYDRAM_FULL=1 is set: benches then sweep every registered
-/// workload instead of the representative subset (slower, fuller figures).
-bool full_sweep_requested();
-
-/// The workloads a bench sweeps: all 20 under LAZYDRAM_FULL=1, otherwise a
+/// The workloads a bench sweeps: all 20 under knobs::kFull, otherwise a
 /// representative subset spanning all four groups and feature levels.
 std::vector<std::string> bench_workloads();
-
-/// Where a bench should write its machine-readable JSON output: the value of
-/// a `--json <path>` argument if present, else $LAZYDRAM_JSON, else "" (no
-/// JSON output requested). A trailing `--json` with no path warns and is
-/// ignored.
-std::string json_output_path(int argc, char** argv);
 
 }  // namespace lazydram::sim

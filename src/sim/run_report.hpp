@@ -1,7 +1,7 @@
 // Machine-readable run report: one JSON document per run with the
 // end-of-run metrics, the full telemetry stat snapshot, the per-window time
 // series, and the wall-clock profile. Bench binaries write this next to
-// their human-readable tables (sim::json_output_path picks the path).
+// their human-readable tables (knobs::kJson names the path).
 #pragma once
 
 #include <cstdio>

@@ -15,11 +15,12 @@
 
 namespace lazydram::sim {
 
+// Fields backed by a knob row (common/knobs.hpp): a value set here wins over
+// the environment; the unset markers are "", 0, and -1 for flight_depth.
 struct RunConfig {
   GpuConfig gpu{};                       ///< Table I defaults.
   /// Scheme of the lazy scheduler. A different policy is named by
-  /// gpu.policy.name (see core::parse_policy_spec); $LAZYDRAM_POLICY
-  /// applies when that is empty.
+  /// gpu.policy.name (see core::parse_policy_spec); knobs::kPolicy.
   core::SchemeSpec spec{};
   RowPolicy row_policy = RowPolicy::kOpenRow;
   bool compute_error = true;
@@ -28,34 +29,26 @@ struct RunConfig {
 
   // --- Observability (all off by default; enabling any of it is guaranteed
   // not to change RunMetrics) ---
-  std::string trace_path;   ///< Event/lifecycle trace; "" defers to $LAZYDRAM_TRACE.
-  /// Trace file format: "jsonl" (default) or "chrome" (Perfetto-viewable
-  /// Chrome Trace Event array); "" defers to $LAZYDRAM_TRACE_FORMAT.
-  std::string trace_format;
-  /// Lifecycle sampling: record 1 read request in N. 0 defers to
-  /// $LAZYDRAM_TRACE_SAMPLE (accepted as "N" or "1/N"), default 1.
-  std::uint64_t trace_sample = 0;
+  std::string trace_path;    ///< Event/lifecycle trace; knobs::kTrace.
+  std::string trace_format;  ///< "jsonl" or "chrome" (Perfetto); knobs::kTraceFormat.
+  std::uint64_t trace_sample = 0;  ///< Record 1 read lifecycle in N; knobs::kTraceSample.
   /// Collect per-request lifecycles even without a trace file (summaries
   /// land in RunTelemetry / the JSON report). Implied by trace_path.
   bool lifecycle = false;
-  std::string json_report_path;  ///< JSON run report; "" defers to $LAZYDRAM_JSON.
+  std::string json_report_path;  ///< JSON run report; knobs::kJson.
   bool window_sampling = false;  ///< Forced on when either path resolves non-empty.
-  /// Suppress the $LAZYDRAM_TRACE/$LAZYDRAM_JSON fallbacks for this run.
+  /// Suppress the kTrace/kJson environment fallbacks for this run.
   /// Fan-out drivers (run_multitenant baselines) set this so parallel lanes
   /// never race on one env-named output file.
   bool ignore_env_outputs = false;
-  /// Crash flight recorder depth: last N telemetry events kept per channel
-  /// for the dump a strict-checker throw or LD_ASSERT leaves behind
-  /// ($LAZYDRAM_FLIGHT_DUMP, default lazydram_flight.json). -1 defers to
-  /// $LAZYDRAM_FLIGHT (default: 64, i.e. always on); 0 disables. Recording
-  /// is passive — no output exists unless a dump fires, and enabling it
-  /// never changes results or trace bytes.
+  /// Crash flight recorder depth, knobs::kFlight (dump path
+  /// knobs::kFlightDump); 0 disables. Recording is passive: no output exists
+  /// unless a dump fires, and it never changes results or trace bytes.
   std::int64_t flight_depth = -1;
 
   // --- Verification ---
-  /// Protocol-checker mode: "off" | "log" | "strict"; "" defers to
-  /// $LAZYDRAM_CHECK. In strict mode the first violation throws
-  /// check::ViolationError.
+  /// Protocol-checker mode, knobs::kCheck. In strict mode the first
+  /// violation throws check::ViolationError.
   std::string check;
   /// Starvation bound for the checker (memory cycles); 0 keeps the default.
   Cycle check_age_bound = 0;
@@ -73,19 +66,6 @@ struct RunOutput {
   telemetry::RunTelemetry telemetry;
 };
 RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& config);
-
-/// Lifecycle sampling rate from $LAZYDRAM_TRACE_SAMPLE, spelled "N" or
-/// "1/N" with N > 0. Unset gives 1; anything else warns and gives 1.
-std::uint64_t trace_sample_from_env();
-
-/// Longest accepted heartbeat period: one year, in seconds.
-inline constexpr double kMaxHeartbeatSeconds = 31'536'000.0;
-
-/// Heartbeat period in seconds parsed from `text`, the value of `source`
-/// ("LAZYDRAM_HEARTBEAT", "--heartbeat"): a finite number with
-/// 0 < v <= kMaxHeartbeatSeconds. Anything else warns and returns 0, which
-/// leaves the heartbeat off.
-double parse_heartbeat_seconds(const std::string& text, const char* source);
 
 /// Convenience: run one of the seven paper schemes with default config.
 RunMetrics simulate_scheme(const workloads::Workload& workload, core::SchemeKind kind,

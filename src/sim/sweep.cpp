@@ -1,14 +1,14 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <map>
 #include <mutex>
 #include <thread>
 
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 #include "sim/run_report.hpp"
 #include "telemetry/json.hpp"
@@ -23,31 +23,21 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-bool known_workload(const std::string& name) {
-  for (const std::string& n : workloads::all_workload_names())
-    if (n == name) return true;
-  return false;
-}
-
 /// Runs one job on the calling thread, capturing failures into the result.
 SweepResult run_one(const SweepJob& job) {
   SweepResult r;
   r.workload = job.workload;
   r.label = job.label;
   const auto start = std::chrono::steady_clock::now();
-  // Pre-check the name: make_workload treats an unknown workload as a fatal
-  // invariant violation (LD_ASSERT), but in a sweep one bad job must not take
-  // down the others.
-  if (!known_workload(job.workload)) {
-    r.error = "unknown workload: " + job.workload;
-    r.wall_seconds = seconds_since(start);
-    return r;
-  }
   try {
     telemetry::SelfZone zone("sweep.job");
-    const auto wl = workloads::make_workload(job.workload);
-    r.output = simulate_full(*wl, job.config);
-    r.ok = true;
+    // find_workload, not make_workload: a bad name fails its job, not the sweep.
+    if (const auto wl = workloads::find_workload(job.workload)) {
+      r.output = simulate_full(*wl, job.config);
+      r.ok = true;
+    } else {
+      r.error = "unknown workload: " + job.workload;
+    }
   } catch (const std::exception& e) {
     r.error = e.what();
   } catch (...) {
@@ -59,12 +49,12 @@ SweepResult run_one(const SweepJob& job) {
 
 }  // namespace
 
-SweepEngine::SweepEngine(unsigned jobs) : jobs_(jobs == 0 ? default_jobs() : jobs) {
+SweepEngine::SweepEngine(unsigned jobs) : jobs_(default_jobs(jobs)) {
   profile_.jobs = jobs_;
 }
 
 void SweepEngine::set_jobs(unsigned jobs) {
-  jobs_ = jobs == 0 ? default_jobs() : jobs;
+  jobs_ = default_jobs(jobs);
   profile_.jobs = jobs_;
 }
 
@@ -73,13 +63,8 @@ std::vector<SweepResult> SweepEngine::run(std::vector<SweepJob> sweep_jobs) {
   // flight a single $LAZYDRAM_TRACE / $LAZYDRAM_JSON file would be a write
   // race, so each job gets a path derived from its label instead. (This also
   // upgrades serial sweeps, where the runs used to overwrite one file.)
-  const std::string env_trace = telemetry::env_string("LAZYDRAM_TRACE");
-  const std::string env_json = telemetry::env_string("LAZYDRAM_JSON");
-  // Resolve the checked mode up front too (set_check wins over the env), so
-  // workers never touch the environment.
-  const std::string check_mode =
-      !check_override_.empty() ? check_override_
-                               : telemetry::env_string("LAZYDRAM_CHECK");
+  const std::string env_trace = knobs::text(knobs::kTrace);
+  const std::string env_json = knobs::text(knobs::kJson);
   // Two jobs may carry the same label (callers build labels from workload x
   // scheme grids, and repeated jobs are legitimate); label-derived paths
   // would then silently overwrite each other. Disambiguate duplicates with
@@ -94,7 +79,6 @@ std::vector<SweepResult> SweepEngine::run(std::vector<SweepJob> sweep_jobs) {
       job.config.trace_path = derived_output_path(env_trace, leaf);
     if (job.config.json_report_path.empty() && !env_json.empty())
       job.config.json_report_path = derived_output_path(env_json, leaf);
-    if (job.config.check.empty()) job.config.check = check_mode;
   }
 
   // Resolve the lazily-cached log level on this thread before any worker can
@@ -105,12 +89,12 @@ std::vector<SweepResult> SweepEngine::run(std::vector<SweepJob> sweep_jobs) {
   const auto sweep_start = std::chrono::steady_clock::now();
   telemetry::SelfZone sweep_zone("sweep.run");
 
-  // Sweep-level heartbeat ($LAZYDRAM_HEARTBEAT, also set per-run on the jobs
-  // themselves by simulate_full): after each job completes, at most once per
+  // Sweep-level heartbeat: after each job completes, at most once per
   // period, report done/total and an ETA extrapolated from the mean job time.
   double heartbeat_seconds = 0.0;
-  if (const std::string hb = telemetry::env_string("LAZYDRAM_HEARTBEAT"); !hb.empty())
-    heartbeat_seconds = parse_heartbeat_seconds(hb, "LAZYDRAM_HEARTBEAT");
+  for (const SweepJob& job : sweep_jobs)
+    heartbeat_seconds = std::max(heartbeat_seconds, job.config.gpu.heartbeat_seconds);
+  heartbeat_seconds = knobs::seconds(knobs::kHeartbeat, heartbeat_seconds);
   std::mutex hb_mu;
   auto hb_next = std::chrono::steady_clock::now() +
                  std::chrono::duration<double>(heartbeat_seconds);
@@ -171,63 +155,11 @@ std::vector<SweepResult> SweepEngine::run(std::vector<SweepJob> sweep_jobs) {
   return results;
 }
 
-unsigned default_jobs() {
-  if (const char* env = std::getenv("LAZYDRAM_JOBS"); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v > 0) return static_cast<unsigned>(v);
-    log_warn("ignoring LAZYDRAM_JOBS='%s' (want a positive integer)", env);
-  }
+unsigned default_jobs(std::uint64_t set) {
+  if (const std::uint64_t jobs = knobs::count(knobs::kJobs, set))
+    return static_cast<unsigned>(jobs);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-unsigned parse_jobs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") != 0) continue;
-    if (i + 1 >= argc) {
-      log_warn("--jobs given without a value; ignoring");
-      break;
-    }
-    char* end = nullptr;
-    const long v = std::strtol(argv[i + 1], &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0) {
-      log_warn("ignoring --jobs '%s' (want a positive integer)", argv[i + 1]);
-      break;
-    }
-    return static_cast<unsigned>(v);
-  }
-  return default_jobs();
-}
-
-std::string parse_check(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") != 0) continue;
-    if (i + 1 >= argc) {
-      log_warn("--check given without a value (want off|log|strict); ignoring");
-      break;
-    }
-    return argv[i + 1];
-  }
-  return "";
-}
-
-bool parse_self_profile(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--self-profile") == 0) return true;
-  return false;
-}
-
-double parse_heartbeat(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--heartbeat") != 0) continue;
-    if (i + 1 >= argc) {
-      log_warn("--heartbeat given without a value (want seconds > 0); ignoring");
-      break;
-    }
-    return parse_heartbeat_seconds(argv[i + 1], "--heartbeat");
-  }
-  return 0.0;
 }
 
 std::string sanitize_label(const std::string& label) {

@@ -69,15 +69,9 @@ class SweepEngine {
   /// through default_jobs() again).
   void set_jobs(unsigned jobs);
 
-  /// Checked mode: every job whose RunConfig leaves `check` empty runs with
-  /// this protocol-checker mode ("off" | "log" | "strict"; "" defers to
-  /// $LAZYDRAM_CHECK). A strict-mode violation fails only its own job — the
-  /// fault-isolation boundary captures the ViolationError into that job's
-  /// SweepResult and the rest of the sweep still runs.
-  void set_check(const std::string& mode) { check_override_ = mode; }
-
   /// Runs every job (at most jobs() concurrently) and returns the results in
-  /// submission order. Accumulates into profile() across calls.
+  /// submission order. Accumulates into profile() across calls. The sweep
+  /// heartbeat beats at the jobs' GpuConfig::heartbeat_seconds or kHeartbeat.
   std::vector<SweepResult> run(std::vector<SweepJob> sweep_jobs);
 
   const SweepProfile& profile() const { return profile_; }
@@ -85,31 +79,10 @@ class SweepEngine {
  private:
   unsigned jobs_;
   SweepProfile profile_;
-  std::string check_override_;
 };
 
-/// $LAZYDRAM_JOBS if set to a positive integer, else hardware concurrency
-/// (minimum 1). An unparsable value warns and falls through.
-unsigned default_jobs();
-
-/// `--jobs N` from argv, else default_jobs(). `--jobs` without a value (or a
-/// non-positive one) warns and is ignored.
-unsigned parse_jobs(int argc, char** argv);
-
-/// `--check MODE` from argv, else "" (which defers to $LAZYDRAM_CHECK).
-/// `--check` without a value warns and is ignored; the mode string itself is
-/// validated later by check::parse_check_mode.
-std::string parse_check(int argc, char** argv);
-
-/// `--self-profile` from argv: arm the wall-clock self-profiler for every
-/// run the bench launches (false when absent; $LAZYDRAM_SELFPROF can still
-/// turn it on per-run).
-bool parse_self_profile(int argc, char** argv);
-
-/// `--heartbeat SECONDS` from argv, else 0 (off; $LAZYDRAM_HEARTBEAT can
-/// still turn it on per-run). A missing value, or one parse_heartbeat_seconds
-/// rejects, warns and is ignored.
-double parse_heartbeat(int argc, char** argv);
+/// knobs::kJobs with the hardware thread count (minimum 1) as its default.
+unsigned default_jobs(std::uint64_t set = 0);
 
 /// `label` reduced to [A-Za-z0-9._-] (everything else becomes '_') so it is
 /// safe inside a file name.

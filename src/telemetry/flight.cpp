@@ -1,10 +1,10 @@
 #include "telemetry/flight.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
 
 #include "common/assert.hpp"
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 
 namespace lazydram::telemetry {
@@ -169,10 +169,6 @@ void FlightRecorder::dump_all(const char* reason, const std::string& detail) {
              path.c_str());
 }
 
-std::string FlightRecorder::dump_path() {
-  const char* env = std::getenv("LAZYDRAM_FLIGHT_DUMP");
-  if (env != nullptr && env[0] != '\0') return env;
-  return "lazydram_flight.json";
-}
+std::string FlightRecorder::dump_path() { return knobs::text(knobs::kFlightDump); }
 
 }  // namespace lazydram::telemetry

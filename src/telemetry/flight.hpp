@@ -61,7 +61,7 @@ class FlightRecorder {
   /// stderr summary. No-op when no recorder is armed.
   static void dump_all(const char* reason, const std::string& detail);
 
-  /// Resolved dump path: $LAZYDRAM_FLIGHT_DUMP or "lazydram_flight.json".
+  /// Resolved dump path: knobs::kFlightDump.
   static std::string dump_path();
 
  private:

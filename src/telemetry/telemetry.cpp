@@ -1,6 +1,5 @@
 #include "telemetry/telemetry.hpp"
 
-#include <cstdlib>
 
 #include "telemetry/chrome_trace.hpp"
 
@@ -34,11 +33,6 @@ void Telemetry::enable_flight(std::size_t depth) {
 
 ChromeTraceSink* Telemetry::chrome_sink() {
   return dynamic_cast<ChromeTraceSink*>(owned_sink_.get());
-}
-
-std::string env_string(const char* name) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? std::string{} : std::string{v};
 }
 
 }  // namespace lazydram::telemetry

@@ -115,7 +115,4 @@ struct RunTelemetry {
   SelfProfileReport self_profile;
 };
 
-/// Value of env var `name`, or "" if unset.
-std::string env_string(const char* name);
-
 }  // namespace lazydram::telemetry

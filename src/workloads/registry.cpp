@@ -44,11 +44,22 @@ std::vector<std::string> all_workload_names() {
   return names;
 }
 
-std::unique_ptr<Workload> make_workload(const std::string& name) {
+std::unique_ptr<Workload> find_workload(const std::string& name) {
   for (const auto& [n, factory] : kRegistry)
     if (name == n) return factory();
-  LD_ASSERT_MSG(false, ("unknown workload: " + name).c_str());
   return nullptr;
+}
+
+std::unique_ptr<Workload> make_workload(const std::string& name) {
+  std::unique_ptr<Workload> wl = find_workload(name);
+  LD_ASSERT_MSG(wl != nullptr, ("unknown workload: " + name).c_str());
+  return wl;
+}
+
+std::string unknown_workload_message(const std::string& name) {
+  std::string out = "unknown workload '" + name + "'; known:";
+  for (const auto& [n, factory] : kRegistry) out += std::string(" ") + n;
+  return out;
 }
 
 std::vector<std::unique_ptr<Workload>> make_all_workloads() {

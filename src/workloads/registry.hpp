@@ -12,8 +12,14 @@ namespace lazydram::workloads {
 /// Names of all registered applications, in Table II presentation order.
 std::vector<std::string> all_workload_names();
 
-/// Builds the workload model with `name`; aborts on unknown names.
+/// The workload model named `name`, or nullptr for an unknown name.
+std::unique_ptr<Workload> find_workload(const std::string& name);
+
+/// find_workload() for library callers: aborts on unknown names.
 std::unique_ptr<Workload> make_workload(const std::string& name);
+
+/// "unknown workload 'NAME'; known: SCP, LPS, ..." for usage errors.
+std::string unknown_workload_message(const std::string& name);
 
 /// Builds every registered workload.
 std::vector<std::unique_ptr<Workload>> make_all_workloads();

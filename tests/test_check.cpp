@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "check/checker.hpp"
 #include "check/golden.hpp"
 #include "check/mode.hpp"
 #include "check/recorder.hpp"
 #include "common/config.hpp"
+#include "common/knobs.hpp"
 #include "core/scheduler_registry.hpp"
 #include "dram/address.hpp"
 #include "mem/controller.hpp"
@@ -39,12 +42,24 @@ TEST(CheckModeParse, KnownAndUnknownValues) {
 }
 
 TEST(ParseCheckFlag, ArgvParsing) {
-  const char* with[] = {"prog", "--check", "strict"};
-  EXPECT_EQ(sim::parse_check(3, const_cast<char**>(with)), "strict");
-  const char* without[] = {"prog", "--jobs", "2"};
-  EXPECT_EQ(sim::parse_check(3, const_cast<char**>(without)), "");
-  const char* dangling[] = {"prog", "--check"};
-  EXPECT_EQ(sim::parse_check(2, const_cast<char**>(dangling)), "");
+  const auto parse = [](std::vector<const char*> args, std::string* error) {
+    knobs::Cli cli(knobs::bench_rows());
+    const bool ok =
+        cli.parse(static_cast<int>(args.size()), const_cast<char**>(args.data()), error);
+    return ok ? cli.get(knobs::kCheck).text : "<error>";
+  };
+  ::unsetenv("LAZYDRAM_CHECK");
+  std::string error;
+  EXPECT_EQ(parse({"prog", "--check", "strict"}, &error), "strict");
+  EXPECT_EQ(parse({"prog", "--jobs", "2"}, &error), "off");  // The row default.
+  EXPECT_EQ(parse({"prog", "--check"}, &error), "<error>");
+  EXPECT_NE(error.find("--check needs a value"), std::string::npos) << error;
+  EXPECT_EQ(parse({"prog", "--check", "bogus"}, &error), "<error>");
+  EXPECT_NE(error.find("--check 'bogus'"), std::string::npos) << error;
+  ::setenv("LAZYDRAM_CHECK", "log", 1);
+  EXPECT_EQ(parse({"prog"}, &error), "log");
+  EXPECT_EQ(parse({"prog", "--check", "strict"}, &error), "strict");  // Flag beats env.
+  ::unsetenv("LAZYDRAM_CHECK");
 }
 
 /// Drives a ProtocolChecker directly through its hooks with a hand-built

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/knobs.hpp"
 #include "core/scheme.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
@@ -87,47 +88,59 @@ TEST(Report, BenchWorkloadsNonEmptyAndRegistered) {
 TEST(Simulator, TraceSampleEnvAcceptsOnlyWholePositiveCounts) {
   const auto sample = [](const char* text) {
     ::setenv("LAZYDRAM_TRACE_SAMPLE", text, 1);
-    return sim::trace_sample_from_env();
+    return knobs::count(knobs::kTraceSample);
   };
   EXPECT_EQ(sample("1/16"), 16u);
   EXPECT_EQ(sample("16"), 16u);
   // Malformed values warn and fall back to sampling every request.
-  EXPECT_EQ(sample("-3"), 1u);  // strtoull alone wraps this to 2^64 - 3.
-  EXPECT_EQ(sample("8x"), 1u);  // ... and reads this as 8.
-  EXPECT_EQ(sample("1/0"), 1u);
-  EXPECT_EQ(sample("0"), 1u);
-  EXPECT_EQ(sample("1/"), 1u);
-  EXPECT_EQ(sample(" 8"), 1u);
-  EXPECT_EQ(sample("99999999999999999999"), 1u);  // Out of range.
+  for (const char* bad : {"-3",  // strtoull alone wraps this to 2^64 - 3.
+                          "8x",  // ... and reads this as 8.
+                          "1/0", "0", "1/", " 8", "99999999999999999999"}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(sample(bad), 1u) << bad;
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  std::string("LAZYDRAM_TRACE_SAMPLE='") + bad + "'"),
+              std::string::npos);
+  }
   ::unsetenv("LAZYDRAM_TRACE_SAMPLE");
-  EXPECT_EQ(sim::trace_sample_from_env(), 1u);
+  EXPECT_EQ(knobs::count(knobs::kTraceSample), 1u);
+  EXPECT_EQ(knobs::count(knobs::kTraceSample, 4), 4u);  // A RunConfig value wins.
 }
 
 // A heartbeat period is finite seconds in (0, one year]. inf, NaN and
 // overflowing values would make the wall-clock deadline arithmetic undefined,
 // so they warn and leave the heartbeat off like any other bad value.
 TEST(Simulator, HeartbeatPeriodRejectsNonFiniteAndOutOfRange) {
-  for (const char* text : {"inf", "nan", "1e300", "0", "-1", "2x"}) {
+  for (const char* text : {"inf", "nan", "1e300", "31536001", "0", "-1", "2x"}) {
     SCOPED_TRACE(text);
+    ::setenv("LAZYDRAM_HEARTBEAT", text, 1);
     ::testing::internal::CaptureStderr();
-    const double v = sim::parse_heartbeat_seconds(text, "LAZYDRAM_HEARTBEAT");
+    const double v = knobs::seconds(knobs::kHeartbeat);
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(v, 0.0);
     EXPECT_NE(err.find(std::string("LAZYDRAM_HEARTBEAT='") + text + "'"), std::string::npos)
         << err;
   }
   ::testing::internal::CaptureStderr();
-  EXPECT_EQ(sim::parse_heartbeat_seconds("0.5", "--heartbeat"), 0.5);
-  EXPECT_EQ(sim::parse_heartbeat_seconds("31536000", "--heartbeat"), sim::kMaxHeartbeatSeconds);
+  ::setenv("LAZYDRAM_HEARTBEAT", "0.5", 1);
+  EXPECT_EQ(knobs::seconds(knobs::kHeartbeat), 0.5);
+  ::setenv("LAZYDRAM_HEARTBEAT", "31536000", 1);
+  EXPECT_EQ(knobs::seconds(knobs::kHeartbeat), 31'536'000.0);
   EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ::unsetenv("LAZYDRAM_HEARTBEAT");
 
-  // The --heartbeat flag goes through the same parser.
-  char prog[] = "bench", flag[] = "--heartbeat", inf[] = "inf";
-  char* argv[] = {prog, flag, inf};
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(sim::parse_heartbeat(3, argv), 0.0);
-  EXPECT_NE(::testing::internal::GetCapturedStderr().find("--heartbeat='inf'"),
-            std::string::npos);
+  // The --heartbeat flag goes through the same parser, and on a command line
+  // a bad value is an error naming the flag.
+  for (const char* text : {"inf", "nan", "1e300", "0"}) {
+    char prog[] = "bench", flag[] = "--heartbeat";
+    std::string value = text;
+    char* argv[] = {prog, flag, value.data()};
+    knobs::Cli cli(knobs::bench_rows());
+    std::string error;
+    EXPECT_FALSE(cli.parse(3, argv, &error));
+    EXPECT_NE(error.find(std::string("--heartbeat '") + text + "'"), std::string::npos)
+        << error;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "core/scheme.hpp"
 #include "sim/sweep.hpp"
 
@@ -154,22 +155,34 @@ TEST_F(SweepJobsConfig, DefaultJobsHonorsEnvAndFallsBackToHardware) {
 }
 
 TEST_F(SweepJobsConfig, ParseJobsFindsTheFlagAnywhereAndRejectsGarbage) {
-  const auto parse = [](std::vector<std::string> args) {
+  // What a bench's runner would run with: --jobs, else LAZYDRAM_JOBS, else
+  // the hardware; a bad --jobs is a usage error.
+  const auto jobs = [](std::vector<std::string> args, std::string* error = nullptr) {
     std::vector<char*> argv;
     static char name[] = "bench";
     argv.push_back(name);
     for (std::string& a : args) argv.push_back(a.data());
-    return sim::parse_jobs(static_cast<int>(argv.size()), argv.data());
+    knobs::Cli cli(knobs::bench_rows(), "[ARGS]", 8);
+    std::string e;
+    if (!cli.parse(static_cast<int>(argv.size()), argv.data(), &e)) {
+      if (error != nullptr) *error = e;
+      return 0u;
+    }
+    return sim::SweepEngine(static_cast<unsigned>(cli.get(knobs::kJobs).count)).jobs();
   };
-  EXPECT_EQ(parse({"--jobs", "4"}), 4u);
-  EXPECT_EQ(parse({"positional", "--jobs", "2", "trailing"}), 2u);
-  EXPECT_EQ(parse({}), hw_jobs());                   // No flag.
-  EXPECT_EQ(parse({"--jobs"}), hw_jobs());           // Missing value.
-  EXPECT_EQ(parse({"--jobs", "zero"}), hw_jobs());   // Unparsable value.
-  EXPECT_EQ(parse({"--jobs", "0"}), hw_jobs());      // Non-positive value.
+  EXPECT_EQ(jobs({"--jobs", "4"}), 4u);
+  EXPECT_EQ(jobs({"positional", "--jobs", "2", "trailing"}), 2u);
+  EXPECT_EQ(jobs({}), hw_jobs());  // No flag.
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{"--jobs"}, {"--jobs", "zero"}, {"--jobs", "0"},
+        {"--jobs", "-2"}, {"--jobs", "1025"}, {"--jobs", "--json"}}) {
+    std::string error;
+    EXPECT_EQ(jobs(bad, &error), 0u) << bad.back();
+    EXPECT_NE(error.find("--jobs"), std::string::npos) << error;
+  }
   ::setenv("LAZYDRAM_JOBS", "5", 1);
-  EXPECT_EQ(parse({}), 5u);                          // Flag absent -> env.
-  EXPECT_EQ(parse({"--jobs", "4"}), 4u);             // Flag beats env.
+  EXPECT_EQ(jobs({}), 5u);               // Flag absent -> env.
+  EXPECT_EQ(jobs({"--jobs", "4"}), 4u);  // Flag beats env.
   ::unsetenv("LAZYDRAM_JOBS");
 }
 

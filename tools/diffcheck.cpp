@@ -9,61 +9,31 @@
 // violations), and the first divergence is printed with full context so CI
 // can publish it as a failure artifact.
 //
-// Usage:
-//   diffcheck [--workloads A,B,C] [--schemes Baseline,Dyn-DMS,...] [--list]
-//   diffcheck --policy frfcfs [--workloads A,B,C]
-//
-// Defaults: three workloads spanning the paper's behavior groups, all seven
-// schemes. `--policy` switches to the registry-policy lane: each workload runs
-// under the named scheduler policy (baseline scheme spec) and diffs against
-// the golden model. The golden model replays FR-FCFS arbitration, so only
+// Flags (knobs::kWorkloads, kSchemes, kDiffPolicy, kList): by default three
+// workloads spanning the paper's behavior groups, all seven schemes.
+// `--policy` switches to the registry-policy lane: each workload runs under
+// the named scheduler policy (baseline scheme spec) and diffs against the
+// golden model. The golden model replays FR-FCFS arbitration, so only
 // FR-FCFS-equivalent policies are expected to match — CI uses this lane with
 // "frfcfs" to pin the registry construction path itself.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "core/scheme.hpp"
 #include "sim/diff.hpp"
 #include "workloads/registry.hpp"
 
-namespace {
-
 using lazydram::core::SchemeKind;
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-std::string arg_value(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  return "";
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  namespace knobs = lazydram::knobs;
+  const knobs::Cli cli = knobs::parse_or_exit(
+      argc, argv, {&knobs::kWorkloads, &knobs::kSchemes, &knobs::kDiffPolicy, &knobs::kList});
   const std::vector<SchemeKind> all = lazydram::core::all_schemes();
 
-  if (has_flag(argc, argv, "--list")) {
+  if (cli.get(knobs::kList).on) {
     std::printf("workloads:");
     for (const std::string& n : lazydram::workloads::all_workload_names())
       std::printf(" %s", n.c_str());
@@ -73,17 +43,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Default workloads: one streaming (SCP), one irregular/approximate
-  // (inversek2j), one stencil (CONS) — small enough for CI, diverse enough
-  // to exercise hits, misses, drops and write-backs.
-  std::vector<std::string> workload_names = {"SCP", "inversek2j", "CONS"};
-  if (const std::string w = arg_value(argc, argv, "--workloads"); !w.empty())
-    workload_names = split_csv(w);
+  // Default workloads (the kWorkloads row): one streaming (SCP), one
+  // irregular/approximate (inversek2j), one stencil (CONS) — small enough for
+  // CI, diverse enough to exercise hits, misses, drops and write-backs.
+  const std::vector<std::string> workload_names = knobs::split(cli.get(knobs::kWorkloads).text);
+  for (const std::string& name : workload_names)
+    if (lazydram::workloads::find_workload(name) == nullptr)
+      cli.fail(lazydram::workloads::unknown_workload_message(name));
 
   std::vector<SchemeKind> schemes = all;
-  if (const std::string s = arg_value(argc, argv, "--schemes"); !s.empty()) {
+  if (const std::string s = cli.get(knobs::kSchemes).text; !s.empty()) {
     schemes.clear();
-    for (const std::string& name : split_csv(s)) {
+    for (const std::string& name : knobs::split(s)) {
       bool found = false;
       for (SchemeKind k : all) {
         if (name == lazydram::core::scheme_name(k)) {
@@ -92,18 +63,14 @@ int main(int argc, char** argv) {
           break;
         }
       }
-      if (!found) {
-        std::fprintf(stderr, "diffcheck: unknown scheme '%s' (try --list)\n",
-                     name.c_str());
-        return 2;
-      }
+      if (!found) cli.fail("unknown scheme '" + name + "' (try --list)");
     }
   }
 
   lazydram::sim::DiffHarness harness;
   unsigned failures = 0;
 
-  if (const std::string policy = arg_value(argc, argv, "--policy"); !policy.empty()) {
+  if (const std::string policy = cli.get(knobs::kDiffPolicy).text; !policy.empty()) {
     for (const std::string& workload : workload_names) {
       const lazydram::sim::DiffResult result = harness.run_policy(workload, policy);
       if (result.ok()) {
