@@ -41,17 +41,20 @@ struct RecordedArrival {
   bool is_read = true;
   bool approximable = false;
   TenantId tenant = 0;  ///< Owning client (selects the replayed delay cap).
+  bool operator==(const RecordedArrival&) const = default;
 };
 
 struct RecordedServe {
   RequestId id = 0;
   Cycle cas_cycle = 0;   ///< Cycle the RD/WR command issued.
   Cycle done_cycle = 0;  ///< Cycle the data burst completed.
+  bool operator==(const RecordedServe&) const = default;
 };
 
 struct RecordedDrop {
   RequestId id = 0;
   Cycle cycle = 0;
+  bool operator==(const RecordedDrop&) const = default;
 };
 
 /// A command-pass cycle where the scheduler answered kDrop for `bank`: the
@@ -60,11 +63,13 @@ struct RecordedDrop {
 struct RecordedGate {
   Cycle cycle = 0;
   BankId bank = 0;
+  bool operator==(const RecordedGate&) const = default;
 };
 
 struct RecordedDelay {
   Cycle cycle = 0;  ///< First cycle the new value applies.
   Cycle delay = 0;
+  bool operator==(const RecordedDelay&) const = default;
 };
 
 struct ChannelRecording {
@@ -122,8 +127,10 @@ class ChannelRecorder {
     bump(cycle);
   }
 
-  /// Called every tick with the scheduler's current DMS delay gauge; only
-  /// value changes are stored.
+  /// Called on attach and on every real tick with the scheduler's current DMS
+  /// delay gauge; only value changes are stored. The delay changes only at a
+  /// scheduler boundary, which is always ticked, so the list is the same
+  /// whether or not the idle cycles between were skipped.
   void on_delay(Cycle cycle, Cycle delay) {
     if (rec_.delay_changes.empty() || rec_.delay_changes.back().delay != delay)
       rec_.delay_changes.push_back(RecordedDelay{cycle, delay});

@@ -90,22 +90,14 @@ inline constexpr Knob kDiffPolicy{.flag = "--policy", .value = "SPEC",
 inline constexpr Knob kList{.flag = "--list", .kind = Kind::kSwitch, .fallback = "off",
     .doc = "diffcheck: print the workload and scheme names and exit"};
 inline constexpr Knob kPerf{.flag = "--perf", .kind = Kind::kSwitch, .fallback = "off",
-    .doc = "bench_micro: run the perf-regression harness"};
-inline constexpr Knob kPerfOut{.flag = "--perf-out", .value = "PATH",
-    .fallback = "BENCH_perf.json", .doc = "bench_micro --perf: report path"};
-inline constexpr Knob kPerfCycles{.flag = "--perf-cycles", .kind = Kind::kCount,
-    .value = "N", .lo = 1, .hi = kBig, .fallback = "2000000",
-    .doc = "bench_micro --perf: cycles per scheme"};
-inline constexpr Knob kPerfTrace{.flag = "--perf-trace", .value = "DIR",
-    .doc = "bench_micro --perf: existing directory for one chrome trace per scheme"};
+    .doc = "bench_micro: run the self-observability and tracing overhead A/B"};
 
 /// Every row, in the order EXPERIMENTS.md lists them.
 inline constexpr const Knob* kAll[] = {
     &kJobs,     &kJson,       &kCheck,       &kSelfProfile, &kHeartbeat, &kPolicy,
     &kTrace,    &kTraceFormat, &kTraceSample, &kPower,      &kLog,       &kFlight,
     &kFlightDump, &kFull,     &kPolicies,    &kTenants,     &kScheme,    &kSeed,
-    &kDuration, &kWorkloads,  &kSchemes,     &kDiffPolicy,  &kList,      &kPerf,
-    &kPerfOut,  &kPerfCycles, &kPerfTrace};
+    &kDuration, &kWorkloads,  &kSchemes,     &kDiffPolicy,  &kList,      &kPerf};
 
 /// A parsed value; the member matching the row's kind is meaningful.
 struct Value {

@@ -1,8 +1,10 @@
 #include "core/scheduler_registry.hpp"
 
 #include <cstdlib>
+#include <limits>
 
 #include "common/assert.hpp"
+#include "common/knobs.hpp"
 #include "core/lazy_scheduler.hpp"
 #include "mem/autotune.hpp"
 #include "mem/batch_rr.hpp"
@@ -126,12 +128,18 @@ std::string run_label(const GpuConfig& cfg, const SchemeSpec& spec) {
 
 namespace {
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  out = v;
+// Integer keys parse as knob-table counts: digits only, no sign or blank,
+// rejected rather than wrapped or saturated when out of range.
+constexpr std::uint64_t kMaxU64 = ~std::uint64_t{0};
+constexpr knobs::Knob kAnyCount{.kind = knobs::Kind::kCount, .hi = kMaxU64};
+constexpr knobs::Knob kPositiveCount{.kind = knobs::Kind::kCount, .lo = 1, .hi = kMaxU64};
+constexpr knobs::Knob kPositiveUnsigned{.kind = knobs::Kind::kCount, .lo = 1,
+                                        .hi = std::numeric_limits<unsigned>::max()};
+
+bool parse_count(const knobs::Knob& k, const std::string& s, std::uint64_t& out) {
+  knobs::Value v;
+  if (!knobs::parse(k, s, &v)) return false;
+  out = v.count;
   return true;
 }
 
@@ -173,19 +181,19 @@ bool parse_policy_spec(const std::string& text, GpuConfig& cfg, std::string* err
     std::uint64_t u = 0;
     double d = 0.0;
 
-    if (name == "bliss" && key == "threshold" && parse_u64(val, u) && u > 0)
+    if (name == "bliss" && key == "threshold" && parse_count(kPositiveUnsigned, val, u))
       p.bliss_threshold = static_cast<unsigned>(u);
-    else if (name == "bliss" && key == "interval" && parse_u64(val, u) && u > 0)
+    else if (name == "bliss" && key == "interval" && parse_count(kPositiveCount, val, u))
       p.bliss_clear_interval = u;
-    else if (name == "batch-rr" && key == "cap" && parse_u64(val, u) && u > 0)
+    else if (name == "batch-rr" && key == "cap" && parse_count(kPositiveUnsigned, val, u))
       p.rr_cap = static_cast<unsigned>(u);
-    else if (name == "autotune" && key == "min" && parse_u64(val, u))
+    else if (name == "autotune" && key == "min" && parse_count(kAnyCount, val, u))
       p.tune_min_delay = u;
-    else if (name == "autotune" && key == "max" && parse_u64(val, u))
+    else if (name == "autotune" && key == "max" && parse_count(kAnyCount, val, u))
       p.tune_max_delay = u;
-    else if (name == "autotune" && key == "step" && parse_u64(val, u) && u > 0)
+    else if (name == "autotune" && key == "step" && parse_count(kPositiveCount, val, u))
       p.tune_step = u;
-    else if (name == "autotune" && key == "window" && parse_u64(val, u) && u > 0)
+    else if (name == "autotune" && key == "window" && parse_count(kPositiveCount, val, u))
       p.tune_window = u;
     else if (name == "autotune" && key == "tol" && parse_double(val, d) && d > 0.0 &&
              d <= 1.0)

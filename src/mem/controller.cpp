@@ -462,10 +462,9 @@ void MemoryController::tick(Cycle now_mem) {
 }
 
 Cycle MemoryController::next_event(Cycle now) const {
-  // Conservative bail-outs: the closed-row ablation issues idle precharges
-  // from unmemoized banks, and a stream recorder logs the DMS delay every
-  // tick. In both cases every cycle must run for real.
-  if (row_policy_ != RowPolicy::kOpenRow || recorder_ != nullptr) return now + 1;
+  // Conservative bail-out: the closed-row ablation issues idle precharges
+  // from unmemoized banks, so every cycle must run for real.
+  if (row_policy_ != RowPolicy::kOpenRow) return now + 1;
 
   // The passes first: on a busy cycle they answer now + 1 before any of the
   // horizons below is asked.
@@ -557,6 +556,14 @@ void MemoryController::finalize() {
   // sampler's flush closes its final window at (last_tick_ + 1).
   dram_.finalize_power(end_mem_);
   if (sampler_ != nullptr) sampler_->flush(telemetry_probe(end_mem_));
+}
+
+void MemoryController::set_recorder(check::ChannelRecorder* recorder) {
+  recorder_ = recorder;
+  if (recorder_ == nullptr) return;
+  telemetry::WindowProbe probe;
+  scheduler_->fill_probe(probe);
+  recorder_->on_delay(end_mem_, probe.dms_delay);
 }
 
 void MemoryController::enable_tenant_accounting(unsigned num_tenants) {

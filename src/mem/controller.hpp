@@ -179,8 +179,9 @@ class MemoryController {
   void set_checker(check::ProtocolChecker* checker) { checker_ = checker; }
 
   /// Attaches a request-stream recorder for golden-model differential replay
-  /// (nullable to detach).
-  void set_recorder(check::ChannelRecorder* recorder) { recorder_ = recorder; }
+  /// (nullable to detach), seeded with the DMS delay in force from the next
+  /// cycle on.
+  void set_recorder(check::ChannelRecorder* recorder);
 
   /// Test-only: feeds a command to the attached checker as if the engine had
   /// issued it, without touching the DRAM model. Lets tests prove that an

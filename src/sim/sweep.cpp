@@ -74,7 +74,8 @@ std::vector<SweepResult> SweepEngine::run(std::vector<SweepJob> sweep_jobs) {
   for (std::size_t i = 0; i < sweep_jobs.size(); ++i) {
     SweepJob& job = sweep_jobs[i];
     std::string leaf = job.label;
-    if (label_uses[sanitize_label(job.label)] > 1) leaf += "." + std::to_string(i);
+    // append, not "." + ...: GCC 12 flags that -Wrestrict.
+    if (label_uses[sanitize_label(job.label)] > 1) leaf.append(".").append(std::to_string(i));
     if (job.config.trace_path.empty() && !env_trace.empty())
       job.config.trace_path = derived_output_path(env_trace, leaf);
     if (job.config.json_report_path.empty() && !env_json.empty())

@@ -33,14 +33,14 @@ namespace lazydram::workloads {
 /// One client of a multi-tenant run (also the parsed form of the bench's
 /// tenant spec grammar, see gpu::parse_tenant_specs).
 struct MixTenant {
-  std::string name;                  ///< Display name; defaults to the kernel list.
-  std::vector<std::string> kernels;  ///< Registered workload names (sequential phases).
-  unsigned warps = 0;                ///< Warp budget; 0 = max over the kernels' grids.
-  unsigned repeat = 1;               ///< Closed-loop iterations of the sequence.
-  Cycle think = 0;                   ///< Mean think-time (core cycles) per iteration.
-  bool approx = true;                ///< Honor the kernels' approximable annotations.
-  double coverage_cap = -1.0;        ///< Per-tenant AMS budget (<0 inherits global).
-  Cycle dms_delay_cap = kNeverCycle; ///< Per-tenant DMS delay cap (kNeverCycle = none).
+  std::string name = {};                  ///< Display name; defaults to the kernel list.
+  std::vector<std::string> kernels = {};  ///< Registered workload names (sequential phases).
+  unsigned warps = 0;                     ///< Warp budget; 0 = max over the kernels' grids.
+  unsigned repeat = 1;                    ///< Closed-loop iterations of the sequence.
+  Cycle think = 0;                        ///< Mean think-time (core cycles) per iteration.
+  bool approx = true;                     ///< Honor the kernels' approximable annotations.
+  double coverage_cap = -1.0;             ///< Per-tenant AMS budget (<0 inherits global).
+  Cycle dms_delay_cap = kNeverCycle;      ///< Per-tenant DMS delay cap (kNeverCycle = none).
 };
 
 class MixWorkload : public Workload {

@@ -87,7 +87,9 @@ class Workload {
   }
   /// Display name of a tenant (mixes return the client's spec name).
   virtual std::string tenant_name(TenantId t) const {
-    return "t" + std::to_string(t);
+    std::string name = "t";
+    name += std::to_string(t);  // Not "t" + ...: GCC 12 flags that -Wrestrict.
+    return name;
   }
   /// Owning tenant of a byte address (tenants occupy disjoint address
   /// windows, so ownership is derivable from the address alone — used to tag

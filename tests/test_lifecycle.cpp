@@ -253,8 +253,9 @@ TEST(WindowSamplerBankProbe, DifferencesPerWindowAndTelescopes) {
     ASSERT_EQ(w.banks.size(), 2u);
     for (std::size_t b = 0; b < 2; ++b) {
       // Full windows carry exactly one window's worth of growth.
-      if (w.ticks == 4096)
+      if (w.ticks == 4096) {
         EXPECT_EQ(w.banks[b].activations, 4096u * (b + 1));
+      }
       // cols > acts, so the row-hit column is their difference.
       EXPECT_EQ(w.banks[b].row_hits,
                 w.banks[b].column_accesses - w.banks[b].activations);

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "check/recorder.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "core/lazy_scheduler.hpp"
@@ -282,7 +283,9 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyConformance,
 // same way (GpuTop::run_mem_span). Both must be bit-identical to tick() on
 // every cycle, for every policy. One seeded stream of bursts and idle gaps feeds
 // three controllers: `ref` ticks every cycle, `step` advances one cycle at a
-// time, `span` advances only from one arrival to the next.
+// time, `span` advances only from one arrival to the next. Each records its
+// request stream for the golden model, so diffcheck's recordings are proven
+// independent of which cycles tick.
 
 /// In-memory trace sink: protocol events and window samples.
 struct CaptureSink final : telemetry::TraceSink {
@@ -300,6 +303,7 @@ struct ObservedChannel {
     mc = std::make_unique<MemoryController>(cfg, 0, mapper, std::move(sched));
     tracer.set_sink(&sink);
     mc->set_tracer(&tracer);
+    mc->set_recorder(&recorder);
     mc->enable_window_sampling(cfg.scheme.profile_window, &tracer);
   }
   void pop_replies(Cycle now) {
@@ -308,6 +312,7 @@ struct ObservedChannel {
 
   CaptureSink sink;
   telemetry::Tracer tracer;
+  check::ChannelRecorder recorder{0};
   std::unique_ptr<MemoryController> mc;
   std::vector<MemReply> replies;
 };
@@ -365,6 +370,15 @@ void expect_same_run(const ObservedChannel& ref, const ObservedChannel& dut,
     EXPECT_DOUBLE_EQ(x.energy_nj, y.energy_nj) << "window " << i;
   }
 
+  const check::ChannelRecording& x = ref.recorder.recording();
+  const check::ChannelRecording& y = dut.recorder.recording();
+  EXPECT_TRUE(x.arrivals == y.arrivals) << "recorded arrivals differ";
+  EXPECT_TRUE(x.serves == y.serves) << "recorded serves differ";
+  EXPECT_TRUE(x.drops == y.drops) << "recorded drops differ";
+  EXPECT_TRUE(x.drop_gates == y.drop_gates) << "recorded drop gates differ";
+  EXPECT_TRUE(x.delay_changes == y.delay_changes) << "recorded delay changes differ";
+  EXPECT_EQ(x.last_cycle, y.last_cycle);
+
   const dram::PowerAccountant* pa = a.channel().power();
   const dram::PowerAccountant* pb = b.channel().power();
   ASSERT_EQ(pa == nullptr, pb == nullptr);
@@ -397,7 +411,7 @@ TEST_P(ControllerIdleSkip, AdvanceMatchesTickingEveryCycle) {
   Cycle burst_end = 0;
   Cycle next_burst = 1;
   Cycle span_at = 0;  // Last cycle `span` was advanced to.
-  std::uint64_t step_ticked = 0;
+  std::uint64_t step_ticked = 0, span_ticked = 0;
   for (Cycle m = 1; m <= kEndCycle; ++m) {
     ref.mc->tick(m);
     step_ticked += step.mc->advance(m - 1, m);
@@ -418,7 +432,7 @@ TEST_P(ControllerIdleSkip, AdvanceMatchesTickingEveryCycle) {
       const RowId row = rng.next_bool(0.5) ? 0 : 1 + rng.next_below(5);
       r.line_addr = mapper.compose(
           0, bank, row, static_cast<std::uint32_t>(rng.next_below(16) * kLineBytes));
-      span.mc->advance(span_at, m);
+      span_ticked += span.mc->advance(span_at, m);
       span_at = m;
       for (ObservedChannel* c : {&ref, &step, &span}) c->mc->enqueue(r, m);
     }
@@ -426,14 +440,34 @@ TEST_P(ControllerIdleSkip, AdvanceMatchesTickingEveryCycle) {
     step.pop_replies(m);
     ASSERT_EQ(engine_state(*ref.mc), engine_state(*step.mc)) << pc.name << " cycle " << m;
   }
-  span.mc->advance(span_at, kEndCycle);
+  span_ticked += span.mc->advance(span_at, kEndCycle);
   span.pop_replies(kEndCycle);
   for (ObservedChannel* c : {&ref, &step, &span}) c->mc->finalize();
 
   EXPECT_TRUE(ref.mc->idle()) << pc.name << ": stream did not drain";
   EXPECT_GT(ref.replies.size(), 1000u) << pc.name;
-  // The skip must actually have happened, inside bursts as well as between.
+  // The skip must actually have happened, inside bursts as well as between,
+  // and exactly as often as pinned: a lost fast path or a new spurious wake
+  // shows as an exact diff, with no timing noise. `span` ticks the same
+  // cycles as `step`; it only calls advance() less often.
+  struct PinnedTicks {
+    const char* name;
+    std::uint64_t step, span;
+  };
+  constexpr PinnedTicks kPinned[] = {
+      {"frfcfs", 10377, 10377},          {"fcfs", 11071, 11071},
+      {"bliss", 14863, 14863},           {"batch-rr", 10603, 10603},
+      {"autotune", 10562, 10562},        {"lazy-baseline", 10377, 10377},
+      {"lazy-static-dms", 10478, 10478}, {"lazy-static-combo", 10281, 10281},
+      {"lazy-dyn-combo", 10301, 10301},
+  };
+  const PinnedTicks* pin = nullptr;
+  for (const PinnedTicks& p : kPinned)
+    if (pc.name == p.name) pin = &p;
+  ASSERT_NE(pin, nullptr) << pc.name << ": no pinned tick counts";
   EXPECT_LT(step_ticked, kEndCycle / 2) << pc.name;
+  EXPECT_EQ(step_ticked, pin->step) << pc.name;
+  EXPECT_EQ(span_ticked, pin->span) << pc.name;
   expect_same_run(ref, step, pc.name + ": one cycle at a time");
   expect_same_run(ref, span, pc.name + ": arrival to arrival");
 }

@@ -124,7 +124,10 @@ TEST(PolicySpec, RejectsBadSpecsWithoutTouchingConfig) {
   for (const char* bad :
        {"", "nonesuch", "bliss:threshold=0", "bliss:threshold=abc", "bliss:cap=4",
         "batch-rr:cap=", "autotune:min=512,max=64", "autotune:tol=1.5",
-        "autotune:tol=0", "frfcfs:threshold=4", "bliss:threshold"}) {
+        "autotune:tol=0", "frfcfs:threshold=4", "bliss:threshold",
+        // Counts go through the knob parser: no sign, no wrap, no saturation.
+        "bliss:threshold=-1", "batch-rr:cap=-2", "bliss:interval=99999999999999999999999",
+        "bliss:threshold=4294967296"}) {
     err.clear();
     EXPECT_FALSE(core::parse_policy_spec(bad, cfg, &err)) << bad;
     EXPECT_FALSE(err.empty()) << bad;

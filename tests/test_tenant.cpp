@@ -157,7 +157,9 @@ TEST(MixWorkload, TenantsOwnDisjointWindowsAndWarpRanges) {
       for (unsigned i = 0; i < op.num_addrs; ++i)
         ASSERT_EQ(mix.tenant_of_addr(op.addrs[i]), t)
             << "warp " << w << " step " << step;
-      if (t == 1) ASSERT_FALSE(op.approximable);
+      if (t == 1) {
+        ASSERT_FALSE(op.approximable);
+      }
     }
   }
 
