@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
   // breakdown: whole-DRAM savings as measured (background/refresh included —
   // a scheme that stretches runtime pays standby energy back), the measured
   // row-energy share, and the share x row-savings projection the paper's
-  // HBM arithmetic would predict from the measured GDDR5 share. Zeros here
-  // mean the accountant is off (LAZYDRAM_POWER=off).
+  // HBM arithmetic would predict from the measured GDDR5 share.
   {
     std::vector<double> base_shares;
     for (const std::string& app : apps)

@@ -63,10 +63,10 @@ int main(int argc, char** argv) {
   std::printf("HBM2 (row share %.0f%%): %.1f%% memory-system energy reduction\n",
               energy.hbm2_row_share * 100, hbm2 * 100);
 
-  // Measured-breakdown cross-check (zeros mean the accountant is off). The
-  // derived shares replace the analytic constants with shares computed from
-  // the measured GDDR5 breakdown; the consistency delta says how far the
-  // paper's assumed constants sit from this model's measured arithmetic.
+  // Measured-breakdown cross-check. The derived shares replace the analytic
+  // constants with shares computed from the measured GDDR5 breakdown; the
+  // consistency delta says how far the paper's assumed constants sit from
+  // this model's measured arithmetic.
   const double gddr5_share = sim::mean(gddr5_shares);
   const double hbm1_share = sim::mean(hbm1_shares);
   const double hbm2_share = sim::mean(hbm2_shares);

@@ -1,5 +1,7 @@
 // Quickstart: run one workload under the seven paper schemes and print the
-// headline metrics (row energy, IPC, coverage, application error).
+// headline metrics (row energy, IPC, coverage, application error). The runs
+// go out as one sweep, so $LAZYDRAM_TRACE / $LAZYDRAM_JSON name one file per
+// scheme (trace.jsonl -> trace.SCP_Baseline.jsonl, ...).
 //
 // Usage: quickstart [workload-name]   (default: SCP)
 #include <iostream>
@@ -8,7 +10,7 @@
 #include "common/knobs.hpp"
 #include "common/table.hpp"
 #include "core/scheme.hpp"
-#include "sim/simulator.hpp"
+#include "sim/experiment.hpp"
 #include "workloads/registry.hpp"
 
 int main(int argc, char** argv) {
@@ -22,15 +24,18 @@ int main(int argc, char** argv) {
   std::cout << "lazydram quickstart — workload: " << workload->name() << " ("
             << workload->description() << ")\n\n";
 
-  GpuConfig cfg;  // Table I defaults.
+  sim::ExperimentRunner runner;  // Table I defaults.
+  for (const core::SchemeKind kind : core::all_schemes())
+    runner.prefetch_scheme(workload->name(), kind);
+  runner.flush();
 
-  sim::RunMetrics baseline{};
+  const sim::RunMetrics& baseline =
+      runner.run_scheme(workload->name(), core::SchemeKind::kBaseline);
   TextTable table({"Scheme", "Activations", "Avg-RBL", "RowEnergy", "IPC", "Coverage",
                    "AppError", "AvgDelay"});
 
   for (const core::SchemeKind kind : core::all_schemes()) {
-    const sim::RunMetrics m = sim::simulate_scheme(*workload, kind, cfg);
-    if (kind == core::SchemeKind::kBaseline) baseline = m;
+    const sim::RunMetrics& m = runner.run_scheme(workload->name(), kind);
 
     const double act_norm =
         static_cast<double>(m.activations) / static_cast<double>(baseline.activations);

@@ -199,12 +199,6 @@ struct GpuConfig {
   /// SchedulerRegistry is the single construction path for all of them.
   PolicyParams policy{};
 
-  /// Enables the per-bank state-residency power accountant (src/dram/power).
-  /// Strictly passive — results are bit-identical either way (proven by
-  /// PowerAccounting.OffIsBitIdentical); off only removes the O(1)-per-
-  /// command bookkeeping and the energy-breakdown outputs. knobs::kPower.
-  bool power_accounting = true;
-
   /// Arms the wall-clock self-profiler (telemetry/selfprof) for this run:
   /// zone trees, the core-side/memory-side wall split, and the
   /// self_profile block in the JSON run report. Strictly passive — results

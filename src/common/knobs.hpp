@@ -58,8 +58,6 @@ inline constexpr Knob kTraceFormat{.env = "LAZYDRAM_TRACE_FORMAT", .kind = Kind:
 inline constexpr Knob kTraceSample{.env = "LAZYDRAM_TRACE_SAMPLE", .kind = Kind::kCount,
     .value = "N", .lo = 1, .hi = kBig, .one_in_n = true, .fallback = "1",
     .doc = "trace the lifecycle of one read request in N"};
-inline constexpr Knob kPower{.env = "LAZYDRAM_POWER", .kind = Kind::kSwitch,
-    .fallback = "on", .doc = "DRAM power accounting (results are identical either way)"};
 inline constexpr Knob kLog{.env = "LAZYDRAM_LOG", .kind = Kind::kWord, .value = "LEVEL",
     .words = "silent|warn|info|debug|0|1|2|3", .fallback = "warn", .doc = "log level"};
 inline constexpr Knob kFlight{.env = "LAZYDRAM_FLIGHT", .kind = Kind::kCount,
@@ -95,9 +93,9 @@ inline constexpr Knob kPerf{.flag = "--perf", .kind = Kind::kSwitch, .fallback =
 /// Every row, in the order EXPERIMENTS.md lists them.
 inline constexpr const Knob* kAll[] = {
     &kJobs,     &kJson,       &kCheck,       &kSelfProfile, &kHeartbeat, &kPolicy,
-    &kTrace,    &kTraceFormat, &kTraceSample, &kPower,      &kLog,       &kFlight,
-    &kFlightDump, &kFull,     &kPolicies,    &kTenants,     &kScheme,    &kSeed,
-    &kDuration, &kWorkloads,  &kSchemes,     &kDiffPolicy,  &kList,      &kPerf};
+    &kTrace,    &kTraceFormat, &kTraceSample, &kLog,        &kFlight,    &kFlightDump,
+    &kFull,     &kPolicies,   &kTenants,     &kScheme,      &kSeed,      &kDuration,
+    &kWorkloads, &kSchemes,   &kDiffPolicy,  &kList,        &kPerf};
 
 /// A parsed value; the member matching the row's kind is meaningful.
 struct Value {

@@ -136,7 +136,7 @@ void LazyScheduler::set_telemetry(telemetry::Tracer* tracer, ChannelId channel) 
 }
 
 void LazyScheduler::trace_stall_begin(BankId bank, RequestId req, Cycle now, Cycle delay) {
-  if (!observing() || stalled_[bank] == req) return;
+  if (stalled_[bank] == req) return;
   // The bank's gated candidate can switch identity while the old one is
   // still queued (a gated row hit overtakes a gated miss candidate, or —
   // with per-tenant delay caps — tenants with different effective delays

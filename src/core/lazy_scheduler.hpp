@@ -67,7 +67,6 @@ class LazyScheduler : public Scheduler {
 
   void fill_probe(telemetry::WindowProbe& probe) const override;
   void register_stats(telemetry::TelemetryHub& hub, const std::string& prefix) const override;
-  void enable_bank_stall_tracking() override { bank_stats_ = true; }
   void harvest_bank_stalls(Cycle end, std::vector<std::uint64_t>& cum) override;
 
   const SchemeSpec& spec() const { return spec_; }
@@ -96,13 +95,6 @@ class LazyScheduler : public Scheduler {
     return d;
   }
 
-  /// True when any observability consumer (event tracer, lifecycle
-  /// collector, per-bank window stats) wants stall intervals tracked.
-  bool observing() const {
-    return (tracer_ != nullptr && tracer_->enabled()) || lifecycle_ != nullptr ||
-           bank_stats_;
-  }
-
   SchemeSpec spec_;
   DmsUnit dms_;
   AmsUnit ams_;
@@ -122,15 +114,13 @@ class LazyScheduler : public Scheduler {
   telemetry::Tracer* tracer_ = nullptr;
   ChannelId channel_ = 0;
   telemetry::LifecycleCollector* lifecycle_ = nullptr;
-  bool bank_stats_ = false;
   /// No-stall sentinel for `stalled_` (same all-ones pattern as the global
   /// invalid-request sentinel).
   static constexpr RequestId kNoStall = kInvalidRequest;
   /// Per-bank id of the currently age-gated request (kNoStall if none), for
   /// stall begin/end events. Tracking the id — not just a flag — lets
   /// on_serve/on_drop close a stall whose request leaves the queue without a
-  /// further decide() on its bank. Only touched when observing(); never
-  /// consulted for decisions.
+  /// further decide() on its bank. Never consulted for decisions.
   std::vector<RequestId> stalled_;
   /// Cycle the open stall of each bank began (lifecycle gate intervals).
   std::vector<Cycle> stall_begin_;

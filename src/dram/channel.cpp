@@ -15,10 +15,9 @@ DramChannel::DramChannel(const GpuConfig& cfg, ChannelId id)
     : t_(cfg.timing),
       groups_(cfg.bank_groups_per_channel),
       next_cas_in_group_(cfg.bank_groups_per_channel, 0),
-      energy_(cfg.energy) {
+      energy_(cfg.energy),
+      power_(cfg.energy, cfg.banks_per_channel) {
   (void)id;
-  if (cfg.power_accounting)
-    power_ = std::make_unique<PowerAccountant>(cfg.energy, cfg.banks_per_channel);
   banks_.reserve(cfg.banks_per_channel);
   for (unsigned b = 0; b < cfg.banks_per_channel; ++b) banks_.emplace_back(t_);
 }
@@ -92,7 +91,7 @@ Cycle DramChannel::issue(CommandKind kind, BankId bank, RowId row, Cycle now) {
         if (acts_in_window_ < 4) ++acts_in_window_;
       }
       energy_.on_activation();
-      if (power_ != nullptr) power_->on_activate(bank, now);
+      power_.on_activate(bank, now);
       return now;
 
     case CommandKind::kPrecharge: {
@@ -102,7 +101,7 @@ Cycle DramChannel::issue(CommandKind kind, BankId bank, RowId row, Cycle now) {
       LD_ASSERT(closed.accesses > 0);
       rbl_all_.add(closed.accesses);
       if (closed.read_only) rbl_readonly_.add(closed.accesses);
-      if (power_ != nullptr) power_->on_precharge(bank, now);
+      power_.on_precharge(bank, now);
       return now;
     }
 
@@ -113,7 +112,7 @@ Cycle DramChannel::issue(CommandKind kind, BankId bank, RowId row, Cycle now) {
       last_burst_was_write_ = false;
       bus_busy_cycles_ += t_.tBURST;
       energy_.on_read_access();
-      if (power_ != nullptr) power_->on_read(bank);
+      power_.on_read(bank);
       return done;
     }
 
@@ -124,7 +123,7 @@ Cycle DramChannel::issue(CommandKind kind, BankId bank, RowId row, Cycle now) {
       last_burst_was_write_ = true;
       bus_busy_cycles_ += t_.tBURST;
       energy_.on_write_access();
-      if (power_ != nullptr) power_->on_write(bank);
+      power_.on_write(bank);
       return done;
     }
   }
@@ -133,9 +132,9 @@ Cycle DramChannel::issue(CommandKind kind, BankId bank, RowId row, Cycle now) {
 }
 
 void DramChannel::finalize_power(Cycle end) {
-  if (power_ == nullptr || power_->finalized()) return;
-  power_->finalize(end);
-  power_->verify_against(energy_);
+  if (power_.finalized()) return;
+  power_.finalize(end);
+  power_.verify_against(energy_);
 }
 
 void DramChannel::flush_open_rows() {

@@ -14,7 +14,6 @@
 // (the BWUTIL numerator used by Dyn-DMS).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/config.hpp"
@@ -62,9 +61,8 @@ class DramChannel {
   /// Ends power accounting at cycle `end` (one past the last simulated
   /// memory cycle): closes residencies, asserts the residency-partition
   /// identity and reconciles the accountant against the EnergyMeter oracle.
-  /// No-op when accounting is disabled. Call at most once, after
-  /// flush_open_rows() (flushed rows close at `end`, not earlier — flush()
-  /// issues no PRE).
+  /// Call after flush_open_rows() (flushed rows close at `end`, not earlier —
+  /// flush() issues no PRE); later calls are no-ops.
   void finalize_power(Cycle end);
 
   // --- Measurement ---
@@ -72,9 +70,8 @@ class DramChannel {
   const Histogram& rbl_histogram() const { return rbl_all_; }
   const Histogram& rbl_readonly_histogram() const { return rbl_readonly_; }
   const EnergyMeter& energy() const { return energy_; }
-  /// The state-residency accountant, or nullptr when GpuConfig::
-  /// power_accounting is off.
-  const PowerAccountant* power() const { return power_.get(); }
+  /// The state-residency accountant (fed every issued command).
+  const PowerAccountant& power() const { return power_; }
   std::uint64_t column_accesses() const {
     return energy_.read_accesses() + energy_.write_accesses();
   }
@@ -101,7 +98,7 @@ class DramChannel {
   bool last_burst_was_write_ = false;
 
   EnergyMeter energy_;
-  std::unique_ptr<PowerAccountant> power_;  ///< Null when accounting is off.
+  PowerAccountant power_;
   Histogram rbl_all_{64};
   Histogram rbl_readonly_{64};
   std::uint64_t bus_busy_cycles_ = 0;

@@ -21,9 +21,10 @@
 //          exists in the timing model, so refresh is energy-only and can
 //          never perturb simulated results.
 //
-// Observability discipline: the accountant is strictly passive. It mutates
-// nothing the command engine reads, so enabling/disabling it is proven
-// bit-identical on results (see PowerAccounting.OffIsBitIdentical).
+// Observability discipline: every DramChannel owns one, and it is strictly
+// passive: it mutates nothing the command engine reads. Finalize reconciles
+// it against the EnergyMeter oracle, and the protocol checker's shadow
+// banks witness its residencies (PowerControllerTest.ResidenciesMatchCheckerShadow).
 //
 // Complexity: O(1) per command, O(1) per channel-level query (a lazy
 // channel aggregate tracks active bank-cycles incrementally), O(1) per

@@ -48,9 +48,6 @@ GpuTop::GpuTop(const GpuConfig& cfg, const workloads::Workload& workload,
   if (telemetry != nullptr) {
     tracer_ = &telemetry->tracer();
     lifecycle_ = telemetry->lifecycle();
-    // The GPU pipeline owns record creation (L2 miss) and the warp-wakeup
-    // close; the controller hooks only fill in existing records.
-    if (lifecycle_ != nullptr) lifecycle_->set_external_creation(true);
   }
 
   if (check != nullptr && !check->active()) check = nullptr;
@@ -482,20 +479,16 @@ void GpuTop::register_stats(telemetry::TelemetryHub& hub) const {
     hub.add_histogram(channel_stat("dram", ch, "rbl_readonly"),
                       &dc->rbl_readonly_histogram());
 
-    if (const dram::PowerAccountant* pw = dc->power()) {
-      // State-based accounting extras; absent when power_accounting is off
-      // (collect_metrics probes with has_gauge and degrades to row+access).
-      hub.add_gauge(channel_stat("dram", ch, "background_energy_nj"),
-                    [pw] { return pw->channel_energy().background_nj; });
-      hub.add_gauge(channel_stat("dram", ch, "refresh_energy_nj"),
-                    [pw] { return pw->channel_energy().refresh_nj; });
-      hub.add_counter(channel_stat("dram", ch, "active_bank_cycles"),
-                      [pw] { return pw->channel_active_cycles(); });
-      for (unsigned b = 0; b < pw->num_banks(); ++b)
-        hub.add_gauge(
-            channel_stat("dram", ch, "bank" + std::to_string(b) + ".energy_nj"),
-            [pw, b] { return pw->bank_energy(b).total_nj(); });
-    }
+    const dram::PowerAccountant* pw = &dc->power();
+    hub.add_gauge(channel_stat("dram", ch, "background_energy_nj"),
+                  [pw] { return pw->channel_energy().background_nj; });
+    hub.add_gauge(channel_stat("dram", ch, "refresh_energy_nj"),
+                  [pw] { return pw->channel_energy().refresh_nj; });
+    hub.add_counter(channel_stat("dram", ch, "active_bank_cycles"),
+                    [pw] { return pw->channel_active_cycles(); });
+    for (unsigned b = 0; b < pw->num_banks(); ++b)
+      hub.add_gauge(channel_stat("dram", ch, "bank" + std::to_string(b) + ".energy_nj"),
+                    [pw, b] { return pw->bank_energy(b).total_nj(); });
 
     const cache::Cache* l2 = &partitions_[ch].l2;
     hub.add_counter(channel_stat("cache.l2", ch, "hits"), [l2] { return l2->hits(); });

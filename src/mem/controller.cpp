@@ -592,22 +592,19 @@ void MemoryController::attach_tenant_probe() {
 void MemoryController::enable_window_sampling(Cycle window, telemetry::Tracer* tracer) {
   sampler_ = std::make_unique<telemetry::WindowSampler>(id_, window, tracer);
   sampler_->set_power_scale(watts_per_nj_per_cycle_);
-  scheduler_->enable_bank_stall_tracking();
   stall_scratch_.assign(num_banks_, 0);
   sampler_->set_bank_probe(
       num_banks_, [this](Cycle end, std::vector<telemetry::BankProbe>& out) {
         std::fill(stall_scratch_.begin(), stall_scratch_.end(), std::uint64_t{0});
         scheduler_->harvest_bank_stalls(end, stall_scratch_);
-        const dram::PowerAccountant* pw = dram_.power();
+        const dram::PowerAccountant& pw = dram_.power();
         for (unsigned b = 0; b < num_banks_; ++b) {
           out[b].activations = bank_acts_[b];
           out[b].column_accesses = bank_cols_[b];
           out[b].drops = bank_drops_[b];
           out[b].stall_cycles = stall_scratch_[b];
-          if (pw != nullptr) {
-            out[b].active_cycles = pw->bank_active_cycles(b, end);
-            out[b].energy_nj = pw->bank_energy(b, end).total_nj();
-          }
+          out[b].active_cycles = pw.bank_active_cycles(b, end);
+          out[b].energy_nj = pw.bank_energy(b, end).total_nj();
         }
       });
   attach_tenant_probe();
@@ -621,19 +618,13 @@ void MemoryController::fill_channel_counters(telemetry::WindowProbe& p,
   p.column_writes = dram_.energy().write_accesses();
   p.reads_dropped = reads_dropped_;
   p.reads_received = reads_received_;
-  if (const dram::PowerAccountant* pw = dram_.power()) {
-    // O(1): channel_energy never loops over banks.
-    const dram::PowerBreakdown e = pw->channel_energy(now);
-    p.energy_row_nj = e.row_nj;
-    p.energy_access_nj = e.access_nj;
-    p.energy_background_nj = e.background_nj;
-    p.energy_refresh_nj = e.refresh_nj;
-    p.energy_nj = e.total_nj();
-  } else {
-    p.energy_row_nj = dram_.energy().row_energy_nj();
-    p.energy_access_nj = dram_.energy().access_energy_nj();
-    p.energy_nj = dram_.energy().total_energy_nj();
-  }
+  // O(1): channel_energy never loops over banks.
+  const dram::PowerBreakdown e = dram_.power().channel_energy(now);
+  p.energy_row_nj = e.row_nj;
+  p.energy_access_nj = e.access_nj;
+  p.energy_background_nj = e.background_nj;
+  p.energy_refresh_nj = e.refresh_nj;
+  p.energy_nj = e.total_nj();
   p.queue_size = queue_.size();
 }
 

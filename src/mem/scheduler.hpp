@@ -147,11 +147,6 @@ class Scheduler {
     (void)prefix;
   }
 
-  /// Asks the policy to start accumulating per-bank observability counters
-  /// (DMS stall cycles) for the windowed bank probe. Policies without
-  /// bank-level state ignore it.
-  virtual void enable_bank_stall_tracking() {}
-
   /// Adds the policy's cumulative per-bank DMS-stall cycles as of memory
   /// cycle `end` into `cum` (pre-zeroed, sized to the bank count). The
   /// default policy has no stalls and leaves the zeros. Observational only:

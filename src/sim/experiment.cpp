@@ -1,7 +1,6 @@
 #include "sim/experiment.hpp"
 
-#include "common/log.hpp"
-#include "workloads/registry.hpp"
+#include <stdexcept>
 
 namespace lazydram::sim {
 
@@ -42,11 +41,14 @@ const RunMetrics& ExperimentRunner::run_keyed(const std::string& workload, RunCo
   const auto it = cache_.find(cache_key);
   if (it != cache_.end()) return it->second;
 
-  log_info("running %s", cache_key.c_str());
-  const auto wl = workloads::make_workload(workload);
+  // A one-job sweep, so the run gets its label-derived telemetry paths and a
+  // section in the merged report.
   if (config.check.empty()) config.check = check_;
-  RunMetrics metrics = simulate(*wl, config);
-  return cache_.emplace(cache_key, std::move(metrics)).first->second;
+  std::vector<SweepResult> results =
+      engine_.run({SweepJob{workload, std::move(config), cache_key}});
+  const SweepResult& r = flushed_.emplace_back(std::move(results[0]));
+  if (!r.ok) throw std::runtime_error(r.error);
+  return cache_.emplace(cache_key, r.output.metrics).first->second;
 }
 
 const RunMetrics& ExperimentRunner::run(const std::string& workload,

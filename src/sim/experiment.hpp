@@ -8,8 +8,9 @@
 // SweepEngine's worker threads (knobs::kJobs) and land in the
 // cache, after which the run_* calls are pure lookups. Results are inserted
 // in submission order and each job is fully isolated, so bench output is
-// byte-identical whatever the job count; anything not prefetched simply
-// falls back to running serially on first use.
+// byte-identical whatever the job count; anything not prefetched runs as a
+// one-job sweep on first use, so it still gets its label-derived telemetry
+// paths.
 #pragma once
 
 #include <map>
@@ -63,13 +64,14 @@ class ExperimentRunner {
 
   /// Runs every queued job across jobs() worker threads and caches the
   /// results in submission order. A failed job is logged and left uncached
-  /// (its run_* call will retry serially and surface the error). Returns the
-  /// number of jobs executed.
+  /// (its run_* call retries it and throws its error). Returns the number of
+  /// jobs executed.
   std::size_t flush();
 
-  /// Merged JSON report of every flushed job so far (per-job metrics /
-  /// windows / stats plus the sweep's wall-clock profile); see
-  /// sim::write_sweep_report. Empty `path` is a no-op returning false.
+  /// Merged JSON report of every job run so far, flushed or run on first
+  /// use (per-job metrics / windows / stats plus the sweep's wall-clock
+  /// profile); see sim::write_sweep_report. Empty `path` is a no-op
+  /// returning false.
   bool write_sweep_report(const std::string& path) const;
 
   const SweepProfile& sweep_profile() const { return engine_.profile(); }
@@ -90,7 +92,7 @@ class ExperimentRunner {
   SweepEngine engine_;
   std::vector<SweepJob> pending_;
   std::set<std::string> pending_keys_;
-  std::vector<SweepResult> flushed_;  ///< For the merged sweep report.
+  std::vector<SweepResult> flushed_;  ///< Every job run, for the merged sweep report.
 };
 
 /// Cache key fragment describing a scheme spec (delay/threshold resolved).

@@ -46,6 +46,7 @@ RunMetrics collect_metrics(const gpu::GpuTop& gpu, const workloads::Workload& wo
   std::uint64_t l2_hits = 0, l2_accesses = 0;
   double delay_weight = 0.0, th_weight = 0.0;
   unsigned lazy_channels = 0;
+  m.bank_energy_nj.assign(gpu.config().banks_per_channel, 0.0);
 
   for (ChannelId ch = 0; ch < gpu.num_channels(); ++ch) {
     m.activations += hub.counter(channel_stat("dram", ch, "activations"));
@@ -57,20 +58,13 @@ RunMetrics collect_metrics(const gpu::GpuTop& gpu, const workloads::Workload& wo
     m.access_energy_nj += hub.gauge(channel_stat("dram", ch, "access_energy_nj"));
     bus_busy += hub.counter(channel_stat("dram", ch, "bus_busy_cycles"));
 
-    const std::string bg_stat = channel_stat("dram", ch, "background_energy_nj");
-    if (hub.has_gauge(bg_stat)) {
-      m.background_energy_nj += hub.gauge(bg_stat);
-      m.refresh_energy_nj += hub.gauge(channel_stat("dram", ch, "refresh_energy_nj"));
-      // Per-bank energies fold across channels (bank b of every channel
-      // into entry b), matching the per-bank window heatmap's axis.
-      for (unsigned b = 0;; ++b) {
-        const std::string bank_stat =
-            channel_stat("dram", ch, "bank" + std::to_string(b) + ".energy_nj");
-        if (!hub.has_gauge(bank_stat)) break;
-        if (m.bank_energy_nj.size() <= b) m.bank_energy_nj.resize(b + 1, 0.0);
-        m.bank_energy_nj[b] += hub.gauge(bank_stat);
-      }
-    }
+    m.background_energy_nj += hub.gauge(channel_stat("dram", ch, "background_energy_nj"));
+    m.refresh_energy_nj += hub.gauge(channel_stat("dram", ch, "refresh_energy_nj"));
+    // Per-bank energies fold across channels (bank b of every channel into
+    // entry b), matching the per-bank window heatmap's axis.
+    for (unsigned b = 0; b < m.bank_energy_nj.size(); ++b)
+      m.bank_energy_nj[b] +=
+          hub.gauge(channel_stat("dram", ch, "bank" + std::to_string(b) + ".energy_nj"));
 
     // Histogram::merge keeps the overflow bucket and the true-key weighted
     // sum exact; re-adding buckets through add() would fold overflowed
@@ -98,9 +92,9 @@ RunMetrics collect_metrics(const gpu::GpuTop& gpu, const workloads::Workload& wo
 
   m.total_energy_nj = m.row_energy_nj + m.access_energy_nj +
                       m.background_energy_nj + m.refresh_energy_nj;
-  if (m.background_energy_nj > 0.0 && m.total_energy_nj > 0.0)
+  if (m.total_energy_nj > 0.0)
     m.measured_row_share = m.row_energy_nj / m.total_energy_nj;
-  if (m.background_energy_nj > 0.0 && m.mem_cycles > 0)
+  if (m.mem_cycles > 0)
     m.avg_power_w = m.total_energy_nj / static_cast<double>(m.mem_cycles) *
                     static_cast<double>(gpu.config().mem_clock_mhz) * 1e-3;
   const std::uint64_t accesses = m.dram_reads + m.dram_writes;

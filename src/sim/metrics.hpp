@@ -62,23 +62,21 @@ struct RunMetrics {
   double avg_rbl = 0.0;
 
   // Energy breakdown (summed over channels). row/access come from the
-  // EnergyMeter oracle; background/refresh exist only when the state-based
-  // power accountant ran (GpuConfig::power_accounting) and are zero
-  // otherwise, so total degrades to row + access.
+  // EnergyMeter oracle; background/refresh from the state-based power
+  // accountant every DRAM channel owns.
   double row_energy_nj = 0.0;
   double access_energy_nj = 0.0;
   double background_energy_nj = 0.0;
   double refresh_energy_nj = 0.0;
   double total_energy_nj = 0.0;
-  /// row / total — the *measured* row-energy share of this run (0 when the
-  /// accountant is off). Replaces the analytic row-share constant in the
-  /// measured savings tables.
+  /// row / total — the *measured* row-energy share of this run. Replaces
+  /// the analytic row-share constant in the measured savings tables.
   double measured_row_share = 0.0;
   /// Whole-DRAM average power in watts (total energy / wall-clock memory
-  /// cycles at mem_clock_mhz); 0 when the accountant is off.
+  /// cycles at mem_clock_mhz).
   double avg_power_w = 0.0;
   /// Per-bank total energy, summed over channels (bank b of every channel
-  /// folds into entry b). Empty when the accountant is off.
+  /// folds into entry b).
   std::vector<double> bank_energy_nj;
 
   double coverage = 0.0;   ///< drops / global reads received.

@@ -28,7 +28,6 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
 
   // The profiler arm switch is process-global and sticky: a run only ever
   // turns it ON (a concurrent sweep sibling may still be profiling).
-  cfg.power_accounting = knobs::on(knobs::kPower, cfg.power_accounting);
   cfg.self_profile = knobs::on(knobs::kSelfProfile, cfg.self_profile);
   if (cfg.self_profile) telemetry::SelfProfiler::set_enabled(true);
   cfg.heartbeat_seconds = knobs::seconds(knobs::kHeartbeat, cfg.heartbeat_seconds);
@@ -161,14 +160,6 @@ RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& co
 
 RunMetrics simulate(const workloads::Workload& workload, const RunConfig& config) {
   return simulate_full(workload, config).metrics;
-}
-
-RunMetrics simulate_scheme(const workloads::Workload& workload, core::SchemeKind kind,
-                           const GpuConfig& gpu) {
-  RunConfig config;
-  config.gpu = gpu;
-  config.spec = core::make_scheme_spec(kind, gpu.scheme);
-  return simulate(workload, config);
 }
 
 }  // namespace lazydram::sim

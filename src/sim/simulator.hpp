@@ -67,8 +67,4 @@ struct RunOutput {
 };
 RunOutput simulate_full(const workloads::Workload& workload, const RunConfig& config);
 
-/// Convenience: run one of the seven paper schemes with default config.
-RunMetrics simulate_scheme(const workloads::Workload& workload, core::SchemeKind kind,
-                           const GpuConfig& gpu = GpuConfig{});
-
 }  // namespace lazydram::sim

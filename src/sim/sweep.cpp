@@ -116,27 +116,22 @@ std::vector<SweepResult> SweepEngine::run(std::vector<SweepJob> sweep_jobs) {
                sweep_jobs.size(), elapsed, eta);
   };
 
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(jobs_, sweep_jobs.size()));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < sweep_jobs.size(); ++i) {
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= sweep_jobs.size()) return;
       log_info("sweep [%zu/%zu] %s", i + 1, sweep_jobs.size(),
                sweep_jobs[i].label.c_str());
       results[i] = run_one(sweep_jobs[i]);
       maybe_beat();
     }
+  };
+  const unsigned workers =
+      static_cast<unsigned>(std::min<std::size_t>(jobs_, sweep_jobs.size()));
+  if (workers <= 1) {
+    worker();
   } else {
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= sweep_jobs.size()) return;
-        log_info("sweep [%zu/%zu] %s", i + 1, sweep_jobs.size(),
-                 sweep_jobs[i].label.c_str());
-        results[i] = run_one(sweep_jobs[i]);
-        maybe_beat();
-      }
-    };
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);

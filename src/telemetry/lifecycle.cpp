@@ -53,37 +53,22 @@ void LifecycleCollector::on_reply_pop(RequestId id, Cycle now_core) {
 }
 
 void LifecycleCollector::on_warp_wakeup(RequestId id, Cycle now_core) {
+  // The first reply packet closes the record, so later packets find none.
   const auto it = live_.find(id);
   if (it == live_.end()) return;
-  RequestLifecycle& rec = it->second;
-  if (rec.wakeup_core != 0) return;  // Only the first reply packet wakes the warp.
-  rec.wakeup_core = now_core;
-  if (external_) {
-    finalize(rec);
-    live_.erase(it);
-  }
+  it->second.wakeup_core = now_core;
+  finalize(it->second);
+  live_.erase(it);
 }
 
 void LifecycleCollector::on_enqueue(const MemRequest& req, ChannelId channel, Cycle now_mem) {
   if (!req.is_read()) return;
-  if (external_) {
-    const auto it = live_.find(req.id);
-    if (it == live_.end()) return;
-    it->second.channel = channel;
-    it->second.bank = static_cast<std::int32_t>(req.loc.bank);
-    it->second.tenant = req.tenant;
-    it->second.enqueue_mem = now_mem;
-    return;
-  }
-  if (seq_++ % sample_every_ != 0) return;
-  RequestLifecycle rec;
-  rec.id = req.id;
-  rec.line_addr = req.line_addr;
-  rec.channel = channel;
-  rec.bank = static_cast<std::int32_t>(req.loc.bank);
-  rec.tenant = req.tenant;
-  rec.enqueue_mem = now_mem;
-  live_.emplace(req.id, std::move(rec));
+  const auto it = live_.find(req.id);
+  if (it == live_.end()) return;
+  it->second.channel = channel;
+  it->second.bank = static_cast<std::int32_t>(req.loc.bank);
+  it->second.tenant = req.tenant;
+  it->second.enqueue_mem = now_mem;
 }
 
 void LifecycleCollector::on_gate_end(RequestId id, Cycle begin_mem, Cycle end_mem) {
@@ -100,25 +85,14 @@ void LifecycleCollector::on_cas(RequestId id, Cycle now_mem) {
 
 void LifecycleCollector::on_data_return(RequestId id, Cycle done_mem) {
   const auto it = live_.find(id);
-  if (it == live_.end()) return;
-  RequestLifecycle& rec = it->second;
-  rec.done_mem = done_mem;
-  if (!external_) {
-    finalize(rec);
-    live_.erase(it);
-  }
+  if (it != live_.end()) it->second.done_mem = done_mem;
 }
 
 void LifecycleCollector::on_drop(RequestId id, Cycle now_mem) {
   const auto it = live_.find(id);
   if (it == live_.end()) return;
-  RequestLifecycle& rec = it->second;
-  rec.dropped = true;
-  rec.drop_mem = now_mem;
-  if (!external_) {
-    finalize(rec);
-    live_.erase(it);
-  }
+  it->second.dropped = true;
+  it->second.drop_mem = now_mem;
 }
 
 void LifecycleCollector::finalize(RequestLifecycle& rec) {
@@ -126,7 +100,7 @@ void LifecycleCollector::finalize(RequestLifecycle& rec) {
     return phase_hist_[static_cast<unsigned>(p)];
   };
   // Core-domain phases exist only when every bounding stamp was recorded
-  // (standalone controller runs leave them zero).
+  // (a test driving a controller directly leaves them zero).
   if (rec.inject_core != 0 && rec.eject_core != 0)
     hist(ReqPhase::kIcntRequest).add(rec.eject_core - rec.inject_core);
   if (rec.eject_core != 0 && rec.enqueue_core != 0)

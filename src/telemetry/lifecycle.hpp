@@ -10,14 +10,12 @@
 // compare per hook site; nothing here ever feeds back into simulation state
 // (RunMetrics are bit-identical with the collector on or off).
 //
-// Two wiring modes:
-//  * External creation (GpuTop): on_request_created() opens a record when an
-//    L2 miss allocates the request — the 1/N sampling decision is made here —
-//    and on_warp_wakeup() closes it. Controller hooks only fill in records
-//    that already exist.
-//  * Standalone (benches / unit tests driving a MemoryController directly):
-//    on_enqueue() opens the record (sampling there) and on_data_return /
-//    on_drop closes it; core-domain stamps stay zero.
+// One wiring: on_request_created() opens a record when an L2 miss allocates
+// the request — the 1/N sampling decision is made here — and
+// on_warp_wakeup() closes it. Controller and scheduler hooks only fill in
+// records that already exist. A test driving a MemoryController directly
+// opens each read with on_request_created() and closes it when it pops the
+// reply.
 #pragma once
 
 #include <cstdint>
@@ -75,43 +73,38 @@ class LifecycleCollector {
   /// N = 1 records every read request).
   explicit LifecycleCollector(Tracer* tracer, std::uint64_t sample_every = 1);
 
-  /// Switches to external-creation mode (GpuTop owns record creation and the
-  /// warp-wakeup close; see file comment). Call before the first request.
-  void set_external_creation(bool external) { external_ = external; }
-
   /// Keep finished records in memory (tests audit span nesting). Off by
   /// default: a full-rate run would otherwise retain every request.
   void set_retain(bool retain) { retain_ = retain; }
 
   // --- GpuTop-side hooks (core clock domain) ---
 
-  /// An L2 read miss allocated a MemRequest (external mode opens the record
-  /// here; this is also where the sampling decision is made).
+  /// An L2 read miss allocated a MemRequest: opens the record (this is also
+  /// where the sampling decision is made).
   void on_request_created(RequestId id, Addr line, Cycle inject_core,
                           Cycle eject_core, Cycle now_core);
   /// A later packet for the same line merged into the L2 MSHR entry.
   void on_mshr_merge(Addr line);
   /// The partition popped this request's DRAM/VP reply.
   void on_reply_pop(RequestId id, Cycle now_core);
-  /// The first reply packet reached the source SM; closes the record in
-  /// external mode.
+  /// The first reply packet reached the source SM; closes the record.
   void on_warp_wakeup(RequestId id, Cycle now_core);
 
   // --- Controller/scheduler-side hooks (memory clock domain) ---
 
-  /// The request entered the pending queue (standalone mode opens and
-  /// samples here). Only reads are recorded; callers may pass writes.
+  /// The request entered the pending queue. Only reads are recorded;
+  /// callers may pass writes.
   void on_enqueue(const MemRequest& req, ChannelId channel, Cycle now_mem);
   // The four hooks below are the ones fired from inside a memory
-  // controller's tick(). In GpuTop mode none of them opens or closes a
-  // record (creation and the warp-wakeup close are core-domain).
+  // controller's tick(). None of them opens or closes a record (creation and
+  // the warp-wakeup close are core-domain).
   /// One DMS age-gate interval [begin, end) of this request closed.
   void on_gate_end(RequestId id, Cycle begin_mem, Cycle end_mem);
   /// The request's RD command issued.
   void on_cas(RequestId id, Cycle now_mem);
-  /// The request's data burst completed; closes the record in standalone mode.
+  /// The request's data burst completed.
   void on_data_return(RequestId id, Cycle done_mem);
-  /// AMS dropped the request; closes the record in standalone mode.
+  /// AMS dropped the request.
   void on_drop(RequestId id, Cycle now_mem);
 
   // --- Results ---
@@ -139,7 +132,6 @@ class LifecycleCollector {
 
   Tracer* tracer_;
   std::uint64_t sample_every_;
-  bool external_ = false;
   bool retain_ = false;
 
   std::uint64_t seq_ = 0;  ///< Read requests seen (sampling stride counter).

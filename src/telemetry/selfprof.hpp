@@ -17,9 +17,6 @@
 // write_self_profile). When the buffer fills, whole zone pairs are dropped
 // (an unrecorded enter suppresses its matching exit), so the exported stream
 // always nests.
-//
-// Compile-out: building with -DLAZYDRAM_NO_SELFPROF turns LD_SELF_ZONE into
-// a no-op statement; the library still links (snapshot returns empty).
 #pragma once
 
 #include <atomic>
@@ -129,13 +126,7 @@ class SelfZone {
 
 }  // namespace lazydram::telemetry
 
-#if defined(LAZYDRAM_NO_SELFPROF)
-#define LD_SELF_ZONE(name) \
-  do {                     \
-  } while (0)
-#else
 #define LD_SELF_ZONE_CAT2(a, b) a##b
 #define LD_SELF_ZONE_CAT(a, b) LD_SELF_ZONE_CAT2(a, b)
 #define LD_SELF_ZONE(name) \
   ::lazydram::telemetry::SelfZone LD_SELF_ZONE_CAT(ld_self_zone_, __LINE__)(name)
-#endif

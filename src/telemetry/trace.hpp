@@ -81,7 +81,7 @@ struct RequestLifecycle {
   bool dropped = false;        ///< AMS drop (VP-served) instead of DRAM service.
   std::uint32_t mshr_merges = 0;  ///< L2-MSHR packets merged beyond the primary.
 
-  // Core-domain stamps (0 = never reached / standalone controller mode).
+  // Core-domain stamps (0 = never reached, or a controller driven directly).
   Cycle inject_core = 0;   ///< SM pushed the primary packet into the crossbar.
   Cycle eject_core = 0;    ///< Partition popped the packet from the crossbar.
   Cycle enqueue_core = 0;  ///< L2 miss allocated; request created.
@@ -148,9 +148,8 @@ struct WindowSample {
   std::uint64_t reads_received = 0;
   double coverage = 0.0;        ///< drops / reads_received within the window.
 
-  /// Total DRAM energy spent this window. With the power accountant on this
-  /// is the state-based total and the four components below decompose it;
-  /// with accounting off it is row + access and background/refresh are zero.
+  /// Total DRAM energy spent this window: the power accountant's state-based
+  /// total, which the four components below decompose.
   double energy_nj = 0.0;
   double energy_row_nj = 0.0;
   double energy_access_nj = 0.0;

@@ -32,11 +32,9 @@ struct WindowProbe {
   std::uint64_t column_writes = 0;
   std::uint64_t reads_dropped = 0;
   std::uint64_t reads_received = 0;
-  /// Total DRAM energy. With the power accountant on this is the full
-  /// state-based total (row + access + background + refresh) and the four
-  /// component fields below decompose it; with accounting off it degrades
-  /// to the EnergyMeter's row + access and the background/refresh
-  /// components stay zero.
+  /// Total DRAM energy: the power accountant's state-based total (row +
+  /// access + background + refresh), which the four component fields below
+  /// decompose.
   double energy_nj = 0.0;
   double energy_row_nj = 0.0;
   double energy_access_nj = 0.0;

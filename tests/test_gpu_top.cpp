@@ -345,11 +345,14 @@ TEST(Simulator, EndToEndSchemeOrderingOnScp) {
   // The paper's headline ordering on one real app: combo <= AMS < baseline
   // activations, and AMS must not hurt IPC.
   const auto wl = workloads::make_workload("SCP");
-  GpuConfig cfg;
-  const sim::RunMetrics base = sim::simulate_scheme(*wl, core::SchemeKind::kBaseline, cfg);
-  const sim::RunMetrics ams = sim::simulate_scheme(*wl, core::SchemeKind::kStaticAms, cfg);
-  const sim::RunMetrics combo =
-      sim::simulate_scheme(*wl, core::SchemeKind::kStaticCombo, cfg);
+  const auto run = [&](core::SchemeKind kind) {
+    sim::RunConfig config;
+    config.spec = core::make_scheme_spec(kind, config.gpu.scheme);
+    return sim::simulate(*wl, config);
+  };
+  const sim::RunMetrics base = run(core::SchemeKind::kBaseline);
+  const sim::RunMetrics ams = run(core::SchemeKind::kStaticAms);
+  const sim::RunMetrics combo = run(core::SchemeKind::kStaticCombo);
   EXPECT_LT(ams.activations, base.activations);
   EXPECT_LT(combo.activations, ams.activations);
   EXPECT_GE(ams.ipc, base.ipc);

@@ -16,6 +16,11 @@
 namespace lazydram {
 namespace {
 
+/// A default-on switch outside the table, so the precedence tests cover
+/// knobs::on's "explicit off beats env on" branch.
+constexpr knobs::Knob kTestSwitch{.env = "LAZYDRAM_TEST_SWITCH", .kind = knobs::Kind::kSwitch,
+                                  .fallback = "on", .doc = "test-only default-on switch"};
+
 /// argv-style parse of `args` (program name prepended); returns the error, or
 /// "" when the command line parsed.
 std::string parse(knobs::Cli& cli, std::vector<std::string> args) {
@@ -61,7 +66,7 @@ TEST(Knobs, TableRowsAreWellFormed) {
   }
   int env_rows = 0;
   for (const knobs::Knob* k : knobs::kAll) env_rows += k->env != nullptr;
-  EXPECT_EQ(env_rows, 14);
+  EXPECT_EQ(env_rows, 13);
 }
 
 // The "Knobs" section of EXPERIMENTS.md holds exactly one generated line per
@@ -120,12 +125,12 @@ TEST(Knobs, KindParsersAcceptOnlyTheirValues) {
 // A caller's value wins; the environment only fills a value still at its
 // default; a malformed environment value warns and gives the default.
 TEST(Knobs, PrecedenceCallerThenEnvironmentThenDefault) {
-  ::setenv("LAZYDRAM_POWER", "on", 1);
-  EXPECT_FALSE(knobs::on(knobs::kPower, false));  // Explicit off is kept.
-  ::setenv("LAZYDRAM_POWER", "off", 1);
-  EXPECT_FALSE(knobs::on(knobs::kPower, true));   // Default on: env fills.
-  ::unsetenv("LAZYDRAM_POWER");
-  EXPECT_TRUE(knobs::on(knobs::kPower, true));
+  ::setenv("LAZYDRAM_TEST_SWITCH", "on", 1);
+  EXPECT_FALSE(knobs::on(kTestSwitch, false));  // Explicit off is kept.
+  ::setenv("LAZYDRAM_TEST_SWITCH", "off", 1);
+  EXPECT_FALSE(knobs::on(kTestSwitch, true));   // Default on: env fills.
+  ::unsetenv("LAZYDRAM_TEST_SWITCH");
+  EXPECT_TRUE(knobs::on(kTestSwitch, true));
 
   ::setenv("LAZYDRAM_SELFPROF", "1", 1);
   EXPECT_TRUE(knobs::on(knobs::kSelfProfile, false));
@@ -156,7 +161,7 @@ TEST(Knobs, BadEnvironmentValueWarnsAndUsesDefault) {
     const knobs::Knob* knob;
   };
   const Case cases[] = {{"LAZYDRAM_FULL", "10", &knobs::kFull},
-                        {"LAZYDRAM_POWER", "maybe", &knobs::kPower},
+                        {"LAZYDRAM_TEST_SWITCH", "maybe", &kTestSwitch},
                         {"LAZYDRAM_JOBS", "not-a-number", &knobs::kJobs},
                         {"LAZYDRAM_FLIGHT", "-1", &knobs::kFlight},
                         {"LAZYDRAM_CHECK", "paranoid", &knobs::kCheck}};

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -66,7 +67,6 @@ std::size_t count_occurrences(const std::string& text, const std::string& needle
 
 TEST(LifecycleCollector, ExternalModeRecordsFullSpanAndMerges) {
   LifecycleCollector lc(nullptr, 1);
-  lc.set_external_creation(true);
   lc.set_retain(true);
 
   MemRequest req;
@@ -81,7 +81,7 @@ TEST(LifecycleCollector, ExternalModeRecordsFullSpanAndMerges) {
   lc.on_enqueue(req, /*channel=*/2, /*now_mem=*/20);
   lc.on_gate_end(7, 22, 30);
   lc.on_cas(7, 40);
-  lc.on_data_return(7, 44);  // External mode: does not finalize yet.
+  lc.on_data_return(7, 44);  // Only the warp wakeup closes the record.
   EXPECT_EQ(lc.sampled(), 0u);
   lc.on_reply_pop(7, 70);
   lc.on_warp_wakeup(7, 76);
@@ -119,9 +119,12 @@ TEST(LifecycleCollector, StandaloneSamplingKeepsFirstOfEveryStride) {
     MemRequest req;
     req.id = id;
     req.line_addr = id * kLineBytes;
+    lc.on_request_created(id, req.line_addr, 0, 0, id * 10);
     lc.on_enqueue(req, 0, id * 10);
     lc.on_cas(id, id * 10 + 5);
     lc.on_data_return(id, id * 10 + 9);
+    lc.on_reply_pop(id, id * 10 + 9);
+    lc.on_warp_wakeup(id, id * 10 + 9);
   }
   // Requests 1 and 5 (the first of each stride of 4) were kept.
   EXPECT_EQ(lc.sampled(), 2u);
@@ -129,19 +132,26 @@ TEST(LifecycleCollector, StandaloneSamplingKeepsFirstOfEveryStride) {
   EXPECT_EQ(lc.live(), 0u);
 }
 
+// Only an L2 read miss opens a record, so a write that passes every hook a
+// controller and the reply path fire leaves nothing behind.
 TEST(LifecycleCollector, WritesAreNeverRecorded) {
   LifecycleCollector lc(nullptr, 1);
   MemRequest req;
   req.id = 1;
   req.kind = AccessKind::kWrite;
   lc.on_enqueue(req, 0, 10);
+  lc.on_cas(1, 15);
   lc.on_data_return(1, 20);
+  lc.on_reply_pop(1, 20);
+  lc.on_warp_wakeup(1, 20);
   EXPECT_EQ(lc.sampled(), 0u);
+  EXPECT_EQ(lc.live(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Standalone controller: real command engine, Static-DMS+AMS so both gate
-// intervals and drops occur deterministically.
+// A controller driven directly: real command engine, Static-DMS+AMS so both
+// gate intervals and drops occur deterministically. Each read's record opens
+// before its enqueue and closes when its reply is popped, as GpuTop does.
 // ---------------------------------------------------------------------------
 
 TEST(LifecycleController, PhaseIdentitiesHoldForServedAndDroppedRecords) {
@@ -173,11 +183,16 @@ TEST(LifecycleController, PhaseIdentitiesHoldForServedAndDroppedRecords) {
           static_cast<std::uint32_t>(rng.next_below(16) * kLineBytes));
       r.kind = rng.next_bool(0.15) ? AccessKind::kWrite : AccessKind::kRead;
       r.approximable = r.kind == AccessKind::kRead && rng.next_bool(0.7);
-      reads_enqueued += r.is_read() ? 1 : 0;
+      if (r.is_read()) {
+        ++reads_enqueued;
+        lc.on_request_created(r.id, r.line_addr, 0, 0, now);
+      }
       mc.enqueue(r, now);
     }
     mc.tick(now);
-    while (mc.pop_reply(now)) {
+    while (const std::optional<MemReply> reply = mc.pop_reply(now)) {
+      lc.on_reply_pop(reply->id, now);
+      lc.on_warp_wakeup(reply->id, now);
     }
   }
 

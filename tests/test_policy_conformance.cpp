@@ -379,14 +379,11 @@ void expect_same_run(const ObservedChannel& ref, const ObservedChannel& dut,
   EXPECT_TRUE(x.delay_changes == y.delay_changes) << "recorded delay changes differ";
   EXPECT_EQ(x.last_cycle, y.last_cycle);
 
-  const dram::PowerAccountant* pa = a.channel().power();
-  const dram::PowerAccountant* pb = b.channel().power();
-  ASSERT_EQ(pa == nullptr, pb == nullptr);
-  if (pa != nullptr) {
-    EXPECT_DOUBLE_EQ(pa->channel_energy().total_nj(), pb->channel_energy().total_nj());
-    EXPECT_DOUBLE_EQ(pa->channel_energy().background_nj, pb->channel_energy().background_nj);
-    EXPECT_EQ(pa->channel_active_cycles(), pb->channel_active_cycles());
-  }
+  const dram::PowerAccountant& pa = a.channel().power();
+  const dram::PowerAccountant& pb = b.channel().power();
+  EXPECT_DOUBLE_EQ(pa.channel_energy().total_nj(), pb.channel_energy().total_nj());
+  EXPECT_DOUBLE_EQ(pa.channel_energy().background_nj, pb.channel_energy().background_nj);
+  EXPECT_EQ(pa.channel_active_cycles(), pb.channel_active_cycles());
 }
 
 class ControllerIdleSkip : public ::testing::TestWithParam<PolicyCase> {};

@@ -14,6 +14,7 @@
 
 #include "common/knobs.hpp"
 #include "core/scheme.hpp"
+#include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
 
 namespace lazydram {
@@ -251,6 +252,46 @@ TEST_F(SweepReport, DuplicateLabelsGetDistinctDerivedPaths) {
   EXPECT_NE(doc0, doc1);
   std::remove(path0.c_str());
   std::remove(path1.c_str());
+}
+
+// Regression: a run the ExperimentRunner had not prefetched bypassed the
+// engine and wrote the bare $LAZYDRAM_JSON path, where the next such run
+// overwrote it. It now runs as a one-job sweep with its own derived path and
+// its own section in the merged report.
+TEST_F(SweepReport, UnprefetchedRunnerJobGetsItsOwnDerivedReport) {
+  const std::string base = ::testing::TempDir() + "runner_report.json";
+  std::remove(base.c_str());
+  ::setenv("LAZYDRAM_JSON", base.c_str(), 1);
+
+  sim::ExperimentRunner runner;
+  const core::SchemeSpec dms =
+      core::make_scheme_spec(core::SchemeKind::kStaticDms, runner.config().scheme);
+  runner.prefetch_baseline("SCP");
+  ASSERT_EQ(runner.flush(), 1u);
+  runner.run("SCP", dms, /*compute_error=*/false);  // Not prefetched.
+  ::unsetenv("LAZYDRAM_JSON");
+
+  const std::string baseline_path =
+      sim::derived_output_path(base, "SCP|Baseline/noerr");
+  const std::string dms_path =
+      sim::derived_output_path(base, "SCP|" + sim::spec_key(dms) + "/noerr");
+  ASSERT_NE(baseline_path, dms_path);
+  const std::string baseline_doc = read_file(baseline_path);
+  const std::string dms_doc = read_file(dms_path);
+  EXPECT_NE(baseline_doc.find("\"scheme\":\"Baseline\""), std::string::npos) << baseline_path;
+  EXPECT_NE(dms_doc.find("\"scheme\":\"Static-DMS\""), std::string::npos) << dms_path;
+  EXPECT_TRUE(read_file(base).empty()) << "a run wrote the bare path " << base;
+
+  const std::string merged = ::testing::TempDir() + "runner_merged.json";
+  ASSERT_TRUE(runner.write_sweep_report(merged));
+  const std::string doc = read_file(merged);
+  EXPECT_NE(doc.find("\"label\":\"SCP|Baseline/noerr\""), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"label\":\"SCP|" + sim::spec_key(dms) + "/noerr\""),
+            std::string::npos);
+  std::remove(merged.c_str());
+  std::remove(baseline_path.c_str());
+  std::remove(dms_path.c_str());
+  std::remove(base.c_str());
 }
 
 TEST_F(SweepReport, MergedReportContainsRunsThenProfile) {

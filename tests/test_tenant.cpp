@@ -10,6 +10,7 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -456,24 +457,29 @@ TEST(StallPairing, HitServedMidGateKeepsOneInterval) {
   const auto line = [&](RowId row, std::uint32_t col) {
     return mapper.compose(0, 0, row, col * kLineBytes);
   };
-  const auto read = [&](RequestId id, RowId row, std::uint32_t col) {
+  // Each record opens before its enqueue and closes when its reply is
+  // popped, as GpuTop does.
+  const auto read = [&](RequestId id, RowId row, std::uint32_t col, Cycle now) {
     MemRequest r;
     r.id = id;
     r.line_addr = line(row, col);
-    return r;
+    lc.on_request_created(id, r.line_addr, 0, 0, now);
+    mc.enqueue(r, now);
   };
 
   for (Cycle now = 0; now < 2'000; ++now) {
     // R0 opens row 7 (gated 128 cycles itself, then served).
-    if (now == 0) mc.enqueue(read(1, 7, 0), now);
+    if (now == 0) read(1, 7, 0, now);
     // A: row-5 miss while row 7 is open — gated from ~enqueue to
     // enqueue + 128, with hits streaming past it the whole time.
-    if (now == 300) mc.enqueue(read(2, 5, 0), now);
+    if (now == 300) read(2, 5, 0, now);
     // H1/H2: row-7 hits arriving and serving inside A's gate window.
-    if (now == 310) mc.enqueue(read(3, 7, 1), now);
-    if (now == 350) mc.enqueue(read(4, 7, 2), now);
+    if (now == 310) read(3, 7, 1, now);
+    if (now == 350) read(4, 7, 2, now);
     mc.tick(now);
-    while (mc.pop_reply(now)) {
+    while (const std::optional<MemReply> reply = mc.pop_reply(now)) {
+      lc.on_reply_pop(reply->id, now);
+      lc.on_warp_wakeup(reply->id, now);
     }
   }
   ASSERT_TRUE(mc.idle());
