@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the performance-critical simulator
 // components: the DRAM command engine, FR-FCFS/lazy scheduling decisions,
-// and the VP unit's nearest-line search.
+// the VP unit's nearest-line search and the L1 MSHR table.
 //
 // `bench_micro --perf` instead runs the overhead A/B: one end-to-end SCP run
 // with self-observability off, on, and with lifecycle tracing, and exits
@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -18,6 +19,7 @@
 #include <string_view>
 
 #include "cache/cache.hpp"
+#include "cache/mshr.hpp"
 #include "common/assert.hpp"
 #include "common/config.hpp"
 #include "common/knobs.hpp"
@@ -103,6 +105,38 @@ void BM_ValuePredictorSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValuePredictorSearch);
+
+// An L1 MSHR table held at 32 live entries: each iteration retires the
+// oldest entry (fills return roughly in order), allocates a fresh line and
+// merges three more misses into random live lines, checking capacity first
+// as the SM does.
+void BM_MshrAllocateMergeRelease(benchmark::State& state) {
+  constexpr unsigned kLive = 32;
+  cache::MshrTable mshr(kLive);
+  Rng rng(11);
+  std::array<Addr, kLive> live{};
+  Addr next = 0;
+  cache::MshrToken token = 0;
+  for (Addr& line : live) {
+    next += kLineBytes * (1 + rng.next_below(64));
+    line = next;
+    mshr.allocate(line, token++);
+  }
+  unsigned head = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mshr.release(live[head]).size());
+    next += kLineBytes * (1 + rng.next_below(64));
+    live[head] = next;
+    head = (head + 1) % kLive;
+    mshr.allocate(next, token++);
+    for (int m = 0; m < 3; ++m) {
+      const Addr line = live[rng.next_below(kLive)];
+      if (mshr.can_allocate(line)) mshr.allocate(line, token++);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 5);
+}
+BENCHMARK(BM_MshrAllocateMergeRelease);
 
 // ---------------------------------------------------------------------------
 // Overhead A/B (--perf): the same end-to-end SCP Dyn-DMS+AMS run three ways,

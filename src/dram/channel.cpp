@@ -11,13 +11,12 @@ namespace {
 constexpr Cycle kTurnaround = 2;
 }  // namespace
 
-DramChannel::DramChannel(const GpuConfig& cfg, ChannelId id)
+DramChannel::DramChannel(const GpuConfig& cfg)
     : t_(cfg.timing),
       groups_(cfg.bank_groups_per_channel),
       next_cas_in_group_(cfg.bank_groups_per_channel, 0),
       energy_(cfg.energy),
       power_(cfg.energy, cfg.banks_per_channel) {
-  (void)id;
   banks_.reserve(cfg.banks_per_channel);
   for (unsigned b = 0; b < cfg.banks_per_channel; ++b) banks_.emplace_back(t_);
 }

@@ -29,7 +29,7 @@ enum class CommandKind { kActivate, kPrecharge, kRead, kWrite };
 
 class DramChannel {
  public:
-  DramChannel(const GpuConfig& cfg, ChannelId id);
+  explicit DramChannel(const GpuConfig& cfg);
 
   // --- Command legality & execution (now = memory-domain cycle) ---
 

@@ -36,7 +36,8 @@ void Sm::activate(unsigned warp_idx) {
 void Sm::on_reply(const icnt::Packet& packet) {
   // Fill the L1 (never dirty: L1 is write-through) and wake every warp that
   // merged into this line's MSHR entry. The epoch moves, which ends any
-  // park: a woken warp may issue.
+  // park: a woken warp may issue. The released view stays valid through the
+  // loop, which allocates no MSHR entry.
   ++mem_epoch_;
   l1_.fill(packet.line_addr, /*dirty=*/false, packet.approximate);
   for (const cache::MshrToken token : mshr_.release(packet.line_addr)) {
@@ -62,7 +63,7 @@ Sm::IssueResult Sm::issue_memory_line(unsigned warp_idx, Cycle now,
     return IssueResult::kPollBlocked;
   }
 
-  if (w.op.kind == WarpOp::Kind::kStore) {
+  if (w.kind == WarpOp::Kind::kStore) {
     // Write-through, no-allocate: update the L1 copy if present, then send
     // the write toward the L2 slice. Fire-and-forget (no scoreboard entry).
     if (xbar_full) return wait_for_xbar(w, mem_blocked);
@@ -102,7 +103,7 @@ Sm::IssueResult Sm::issue_memory_line(unsigned warp_idx, Cycle now,
     pkt.id = ++next_packet_id_;
     pkt.line_addr = line;
     pkt.kind = AccessKind::kRead;
-    pkt.approximable = w.op.approximable;
+    pkt.approximable = w.approximable;
     pkt.src_sm = id_;
     pkt.tenant = w.tenant;
     pkt.inject_cycle = now;  // Lifecycle stamp: crossbar entry.
@@ -126,10 +127,10 @@ Sm::IssueResult Sm::try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_
     return IssueResult::kSleep;
   }
 
-  // Decode the next op if none is in progress.
+  // Decode the next op if none is in progress: into the SM's scratch op, of
+  // which the warp keeps the header and the coalesced lines.
   if (!w.has_op) {
-    WarpOp op;
-    if (!workload_.op_at(w.global_id, w.step, op)) {
+    if (!workload_.op_at(w.global_id, w.step, decode_)) {
       // Program ended; the warp retires once its loads have drained.
       if (w.outstanding == 0) {
         w.done = true;
@@ -138,19 +139,21 @@ Sm::IssueResult Sm::try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_
       }
       return IssueResult::kSleep;  // Wakes via reply if loads outstanding.
     }
-    w.op = op;
     w.has_op = true;
+    w.kind = decode_.kind;
+    w.cycles = decode_.cycles;
+    w.approximable = decode_.approximable;
     w.lines_issued = 0;
-    if (op.kind != WarpOp::Kind::kCompute) {
-      coalesce(op, w.lines);
+    if (decode_.kind != WarpOp::Kind::kCompute) {
+      coalesce(decode_, w.lines);
       LD_ASSERT_MSG(!w.lines.empty(), "memory op with no addresses");
     }
   }
 
-  if (w.op.kind == WarpOp::Kind::kCompute) {
+  if (w.kind == WarpOp::Kind::kCompute) {
     // In-order dependence: computation consumes prior loads. Wake: reply.
     if (w.outstanding > 0) return IssueResult::kSleep;
-    w.busy_until = now + w.op.cycles;
+    w.busy_until = now + w.cycles;
     ++w.instructions;
     ++instructions_;
     ++tenant_instructions_[w.tenant];
@@ -231,14 +234,14 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
     // Once the LSU path is blocked this cycle, a warp mid memory op (decoded,
     // not busy, not done) can only poll: try_issue would return kPollBlocked
     // and change no state.
-    if (mem_blocked && w.has_op && w.op.kind != WarpOp::Kind::kCompute && !w.done &&
+    if (mem_blocked && w.has_op && w.kind != WarpOp::Kind::kCompute && !w.done &&
         w.busy_until <= now) {
       ++j;
       continue;
     }
     const IssueResult result = try_issue(warp_idx, now, req_xbar, mem_blocked);
     if (result == IssueResult::kIssued) {
-      if (w.has_op && w.op.kind != WarpOp::Kind::kCompute) {
+      if (w.has_op && w.kind != WarpOp::Kind::kCompute) {
         lsu_owner_ = static_cast<int>(warp_idx);  // Mid-op: hold the LSU.
       } else {
         // Completed op: loose round-robin sends the warp to the back.

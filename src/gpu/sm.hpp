@@ -25,6 +25,12 @@
 // does not even call a parked tick: it takes the SM out of its tick set
 // (parked()) and credits the skipped stalls in bulk when one of those wake
 // sources fires (add_parked_ticks()).
+//
+// Issue allocates and copies nothing per op once warm. The workload writes
+// each decoded op into one scratch WarpOp per SM; the Warp keeps only the
+// op's header (kind, cycles, approximable) and its coalesced lines, in a
+// vector that keeps its capacity. The MSHR table is flat: fixed slots whose
+// token vectors are reused, behind an open-addressed index.
 #pragma once
 
 #include <algorithm>
@@ -139,6 +145,9 @@ class Sm {
 
   cache::Cache l1_;
   cache::MshrTable mshr_;  ///< Token = warp index within warps_.
+  /// Decode scratch: every op_at writes here, and try_issue copies the
+  /// header into the Warp and coalesces the lanes into Warp::lines.
+  WarpOp decode_;
   std::vector<Warp> warps_;
   std::size_t done_warps_ = 0;
 

@@ -10,6 +10,15 @@
 // This preserves exactly what the paper's mechanisms observe: interleaved,
 // coalesced request streams whose latency tolerance grows with arithmetic
 // intensity and warp count.
+//
+// Ops are written in place. A workload's op_at fills the caller's WarpOp: the
+// factories return a small Run that operator= applies, and multi-address ops
+// set their header with begin_load() and then write addrs[0, num_addrs). No
+// writer touches the lanes past num_addrs, so building an op costs what it
+// holds rather than sizeof(WarpOp). Lanes past num_addrs keep stale values
+// from earlier ops, so readers must not rely on them.
+// The SM decodes into one scratch WarpOp per SM and keeps only the op's
+// header and coalesced lines in the Warp.
 #pragma once
 
 #include <array>
@@ -23,51 +32,75 @@ namespace lazydram::gpu {
 struct WarpOp {
   enum class Kind : std::uint8_t { kCompute, kLoad, kStore };
 
+  /// A whole op as the factories describe it: the header plus `nlines`
+  /// consecutive lines from `first` (none for kCompute).
+  struct Run {
+    Kind kind;
+    std::uint16_t cycles;
+    std::uint8_t nlines;
+    bool approximable;
+    Addr first;
+  };
+
   Kind kind = Kind::kCompute;
   std::uint16_t cycles = 1;       ///< kCompute: core cycles of occupancy.
   std::uint8_t num_addrs = 0;     ///< kLoad/kStore: valid entries in addrs.
   bool approximable = false;      ///< kLoad: annotated-approximable region.
   std::array<Addr, 32> addrs{};   ///< Per-lane byte addresses.
 
-  static WarpOp compute(std::uint16_t cycles) {
-    WarpOp op;
-    op.kind = Kind::kCompute;
-    op.cycles = cycles;
-    return op;
+  WarpOp() = default;
+  /// Implicit, so a list of ops can be written as factory calls.
+  WarpOp(const Run& run) { *this = run; }
+
+  /// Writes the header and addrs[0, run.nlines); the other lanes keep
+  /// whatever they held.
+  WarpOp& operator=(const Run& run) {
+    kind = run.kind;
+    cycles = run.cycles;
+    num_addrs = run.nlines;
+    approximable = run.approximable;
+    for (unsigned i = 0; i < run.nlines; ++i)
+      addrs[i] = run.first + static_cast<Addr>(i) * kLineBytes;
+    return *this;
   }
+
+  /// Header of a load whose `n` lane addresses the caller writes next into
+  /// addrs[0, n).
+  void begin_load(std::uint8_t n, bool approx) {
+    kind = Kind::kLoad;
+    cycles = 1;
+    num_addrs = n;
+    approximable = approx;
+  }
+
+  static Run compute(std::uint16_t cycles) { return {Kind::kCompute, cycles, 0, false, 0}; }
 
   /// Fully-coalesced access: 32 lanes covering one 128B line at `line`.
-  static WarpOp load_line(Addr line, bool approximable) {
-    WarpOp op;
-    op.kind = Kind::kLoad;
-    op.approximable = approximable;
-    op.num_addrs = 1;
-    op.addrs[0] = line_base(line);
-    return op;
+  static Run load_line(Addr line, bool approximable) {
+    return {Kind::kLoad, 1, 1, approximable, line_base(line)};
   }
 
-  static WarpOp store_line(Addr line) {
-    WarpOp op;
-    op.kind = Kind::kStore;
-    op.num_addrs = 1;
-    op.addrs[0] = line_base(line);
-    return op;
-  }
+  static Run store_line(Addr line) { return {Kind::kStore, 1, 1, false, line_base(line)}; }
 };
 
-/// Execution state of one warp resident on an SM.
+/// Execution state of one warp resident on an SM. The current op is held as
+/// its header (kind, cycles, approximable) and its coalesced lines; the lane
+/// addresses stay in the SM's decode scratch.
 struct Warp {
   unsigned global_id = 0;      ///< Grid-wide warp index (workload coordinate).
   TenantId tenant = 0;         ///< Owning client (workload tenant_of_warp).
   unsigned step = 0;           ///< Next op index in the workload's stream.
   unsigned outstanding = 0;    ///< Loads in flight (scoreboard).
+  unsigned lines_issued = 0;   ///< Lines of the current memory op issued.
   Cycle busy_until = 0;        ///< kCompute occupancy.
-  bool done = false;
 
+  bool done = false;
   bool has_op = false;         ///< A decoded op is in progress.
-  WarpOp op;
+  WarpOp::Kind kind = WarpOp::Kind::kCompute;  ///< Current op's kind.
+  bool approximable = false;   ///< Current kLoad's annotation.
+  std::uint16_t cycles = 1;    ///< Current kCompute's occupancy.
+
   std::vector<Addr> lines;     ///< Coalesced lines of the current memory op.
-  unsigned lines_issued = 0;
   /// The SM's mem_epoch when the head line (lines[lines_issued]) last found
   /// the request-crossbar input full; 0 = none. While it equals the SM's
   /// current epoch, the line's L1/MSHR verdict cannot have changed.

@@ -38,7 +38,7 @@ MemoryController::MemoryController(const GpuConfig& cfg, ChannelId id,
       mapper_(mapper),
       row_policy_(row_policy),
       queue_(cfg.pending_queue_size, cfg.banks_per_channel),
-      dram_(cfg, id),
+      dram_(cfg),
       scheduler_(std::move(scheduler)),
       num_banks_(cfg.banks_per_channel),
       watts_per_nj_per_cycle_(static_cast<double>(cfg.mem_clock_mhz) * 1e-3),

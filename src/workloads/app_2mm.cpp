@@ -82,18 +82,14 @@ class TwoMmWorkload final : public Workload {
         // Right-matrix 8-row block of the jb column strip: one line per k,
         // fetched as an 8-transaction strided op (4KB pitch between lines).
         {
-          gpu::WarpOp o;
-          o.kind = gpu::WarpOp::Kind::kLoad;
-          o.approximable = true;
-          o.num_addrs = 8;
+          op.begin_load(8, /*approx=*/true);
           // The second multiply contracts over D's kM rows; wrap the
           // block walk into the right matrix's actual row count.
           const unsigned right_rows = second ? kM : kK;
           for (unsigned r = 0; r < 8; ++r)
-            o.addrs[r] = f32_line(
+            op.addrs[r] = f32_line(
                 right,
                 ((static_cast<std::uint64_t>(blk) * 8 + r) % right_rows) * kN + 32 * jb);
-          op = o;
         }
         return true;
       default:

@@ -71,29 +71,25 @@ class Conv3dWorkload final : public Workload {
 
     // An x-row is kNx*4 = 512B = 4 lines; fetch the first 2 lines of each of
     // the three y-rows of plane `zz` as one 6-transaction op.
-    const auto rows_op = [&](unsigned zz) {
-      gpu::WarpOp o;
-      o.kind = gpu::WarpOp::Kind::kLoad;
-      o.approximable = true;
-      o.num_addrs = 6;
+    const auto load_rows = [&](unsigned zz) {
+      op.begin_load(6, /*approx=*/true);
       unsigned n = 0;
       for (unsigned yy : {ym, y, yp}) {
         const Addr base = f32_line(kV, cell_index(0, yy, zz));
-        o.addrs[n++] = base;
-        o.addrs[n++] = base + kLineBytes;
+        op.addrs[n++] = base;
+        op.addrs[n++] = base + kLineBytes;
       }
-      return o;
     };
 
     switch (phase) {
       case 0:  // In-plane: y-1, y, y+1 rows of plane z.
-        op = rows_op(z);
+        load_rows(z);
         return true;
       case 1:  // The three rows of plane z-1.
-        op = rows_op(zm);
+        load_rows(zm);
         return true;
       case 2:  // The three rows of plane z+1.
-        op = rows_op(zp);
+        load_rows(zp);
         return true;
       case 3:
         op = gpu::WarpOp::compute(14);

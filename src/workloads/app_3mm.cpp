@@ -77,14 +77,10 @@ class ThreeMmWorkload final : public Workload {
                        /*approximable=*/true);
         return true;
       case 1: {  // Right strip: one line per 32 k (5 transactions).
-        gpu::WarpOp o;
-        o.kind = gpu::WarpOp::Kind::kLoad;
-        o.approximable = true;
-        o.num_addrs = kJBlocks;
+        op.begin_load(kJBlocks, /*approx=*/true);
         for (unsigned s = 0; s < kJBlocks; ++s)
-          o.addrs[s] =
+          op.addrs[s] =
               f32_line(st.right, (static_cast<std::uint64_t>(s) * 32) * kN + 32 * jb);
-        op = o;
         return true;
       }
       case 2:

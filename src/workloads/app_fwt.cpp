@@ -72,9 +72,7 @@ class FwtWorkload final : public Workload {
           (warp * kFliesPerStage + fly) * 2 % kLines;  // Spread butterflies.
       const unsigned line_a = lo & ~stride;
       const unsigned line_b = line_a | stride;
-      op.kind = gpu::WarpOp::Kind::kLoad;
-      op.approximable = true;
-      op.num_addrs = 2;
+      op.begin_load(2, /*approx=*/true);
       op.addrs[0] = kData + static_cast<Addr>(line_a) * kLineBytes;
       op.addrs[1] = kData + static_cast<Addr>(line_b) * kLineBytes;
       return true;

@@ -90,13 +90,13 @@ class LpsWorkload final : public Workload {
         // In-plane fetch: centre row and both y-neighbour rows (2 lines
         // each), one multi-transaction op -> same-row lines merge at
         // baseline.
-        op.kind = gpu::WarpOp::Kind::kLoad;
-        op.approximable = true;
-        op.num_addrs = 6;
-        const Addr c = f32_line(kU, cell_index(x, y, z));
-        const Addr m = f32_line(kU, cell_index(x, ym, z));
-        const Addr p = f32_line(kU, cell_index(x, yp, z));
-        op.addrs = {c, c + kLineBytes, m, m + kLineBytes, p, p + kLineBytes};
+        op.begin_load(6, /*approx=*/true);
+        unsigned n = 0;
+        for (const unsigned yy : {y, ym, yp}) {
+          const Addr base = f32_line(kU, cell_index(x, yy, z));
+          op.addrs[n++] = base;
+          op.addrs[n++] = base + kLineBytes;
+        }
         return true;
       }
       case 1:  // z-1 plane: lone scattered read (the RBL(1) tail).

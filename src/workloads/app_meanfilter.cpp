@@ -73,9 +73,7 @@ class MeanFilterWorkload final : public Workload {
     switch (phase) {
       case 0:    // First halves of input rows y-1, y, y+1 (3 x 8 lines).
       case 1: {  // Second halves.
-        op.kind = gpu::WarpOp::Kind::kLoad;
-        op.approximable = true;
-        op.num_addrs = 24;
+        op.begin_load(24, /*approx=*/true);
         unsigned n = 0;
         for (const unsigned yy : {ym, sy, yp}) {
           const Addr half = img_row(yy) + phase * 8ull * kLineBytes;

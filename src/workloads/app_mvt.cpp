@@ -86,9 +86,7 @@ class MvtWorkload final : public Workload {
         // A[k][i]: the 3KB-pitch column walk, four samples per op so the
         // warp keeps several loads in flight (latency tolerance); warps
         // i-1/i+1 are row mates.
-        op.kind = gpu::WarpOp::Kind::kLoad;
-        op.approximable = true;
-        op.num_addrs = 4;
+        op.begin_load(4, /*approx=*/true);
         for (unsigned b = 0; b < 4; ++b) {
           const unsigned k = (sample + b) * kColStride;
           op.addrs[b] = f32_line(kA, static_cast<std::uint64_t>(k % kN) * kN + i);

@@ -73,9 +73,7 @@ class SradWorkload final : public Workload {
     switch (phase) {
       case 0: {
         // Centre segment (4 lines) + N/S neighbour segments' first lines.
-        op.kind = gpu::WarpOp::Kind::kLoad;
-        op.approximable = true;
-        op.num_addrs = 8;
+        op.begin_load(8, /*approx=*/true);
         for (unsigned l = 0; l < 4; ++l)
           op.addrs[l] = line_base(pixel_addr(kImg, sx, sy)) + l * kLineBytes;
         op.addrs[4] = line_base(pixel_addr(kImg, sx, ym));

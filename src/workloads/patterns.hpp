@@ -49,24 +49,15 @@ constexpr double mix_unit(std::uint64_t x) {
 /// Wide (multi-transaction) warp load: `nlines` consecutive 128B lines from
 /// `base`. Models vector/tile accesses whose transactions issue back-to-back
 /// from the load/store unit — the source of baseline row-buffer locality.
-inline gpu::WarpOp wide_load(Addr base, unsigned nlines, bool approximable) {
-  gpu::WarpOp op;
-  op.kind = gpu::WarpOp::Kind::kLoad;
-  op.approximable = approximable;
-  op.num_addrs = static_cast<std::uint8_t>(nlines);
-  for (unsigned i = 0; i < nlines; ++i)
-    op.addrs[i] = line_base(base) + static_cast<Addr>(i) * kLineBytes;
-  return op;
+inline gpu::WarpOp::Run wide_load(Addr base, unsigned nlines, bool approximable) {
+  return {gpu::WarpOp::Kind::kLoad, 1, static_cast<std::uint8_t>(nlines), approximable,
+          line_base(base)};
 }
 
 /// Wide warp store: `nlines` consecutive lines from `base`.
-inline gpu::WarpOp wide_store(Addr base, unsigned nlines) {
-  gpu::WarpOp op;
-  op.kind = gpu::WarpOp::Kind::kStore;
-  op.num_addrs = static_cast<std::uint8_t>(nlines);
-  for (unsigned i = 0; i < nlines; ++i)
-    op.addrs[i] = line_base(base) + static_cast<Addr>(i) * kLineBytes;
-  return op;
+inline gpu::WarpOp::Run wide_store(Addr base, unsigned nlines) {
+  return {gpu::WarpOp::Kind::kStore, 1, static_cast<std::uint8_t>(nlines), false,
+          line_base(base)};
 }
 
 // --- Data initialization -------------------------------------------------

@@ -1,6 +1,13 @@
 // Cache + MSHR unit tests: lookup, LRU eviction, dirty write-back, the
-// approximate-fill tag, per-set enumeration (VP support) and MSHR merging.
+// approximate-fill tag, per-set enumeration (VP support), MSHR merging and
+// the MSHR table against a reference model.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <random>
+#include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/mshr.hpp"
@@ -109,6 +116,69 @@ TEST(Mshr, CapacityLimits) {
   EXPECT_TRUE(mshr.can_allocate(0x100));   // Merge room remains.
   mshr.allocate(0x100, 3);
   EXPECT_FALSE(mshr.can_allocate(0x100));  // Merge limit hit.
+}
+
+
+TEST(Mshr, MatchesReferenceModelUnderChurn) {
+  constexpr std::uint32_t kEntries = 32;
+  constexpr std::uint32_t kMaxMerged = 8;
+  MshrTable mshr(kEntries, kMaxMerged);
+  std::map<Addr, std::vector<MshrToken>> ref;
+
+  // Group candidate lines by home bucket, then draw the pool from a few
+  // neighbouring buckets, including the last and first so chains wrap. Live
+  // entries then pile into shared probe chains, and every release has to
+  // shift later chain members back.
+  std::map<std::size_t, std::vector<Addr>> by_home;
+  for (Addr line = 0; line < 20000 * kLineBytes; line += kLineBytes)
+    by_home[mshr.home_bucket(line)].push_back(line);
+  const std::size_t buckets = by_home.rbegin()->first + 1;
+  std::vector<Addr> pool;
+  for (const std::size_t home : {buckets - 2, buckets - 1, std::size_t{0}, std::size_t{1},
+                                 std::size_t{2}, std::size_t{5}, std::size_t{6}, std::size_t{9}}) {
+    const std::vector<Addr>& lines = by_home[home];
+    ASSERT_GE(lines.size(), 12u);
+    pool.insert(pool.end(), lines.begin(), lines.begin() + 12);
+  }
+
+  // Phases of 1000 operations alternate between mostly allocating (the
+  // table fills to its entry cap) and mostly releasing (it drains).
+  std::mt19937_64 rng(24);
+  unsigned entry_cap_hits = 0, merge_cap_hits = 0, merges = 0, releases = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t allocate_pct = (op / 1000) % 2 == 0 ? 85 : 35;
+    if (ref.empty() || rng() % 100 < allocate_pct) {
+      const Addr line = pool[rng() % pool.size()];
+      const auto it = ref.find(line);
+      const bool tracked = it != ref.end();
+      ASSERT_EQ(mshr.has(line), tracked) << "op " << op;
+      const bool room = tracked ? it->second.size() < kMaxMerged : ref.size() < kEntries;
+      ASSERT_EQ(mshr.can_allocate(line), room) << "op " << op;
+      if (!room) {
+        ++(tracked ? merge_cap_hits : entry_cap_hits);
+        continue;
+      }
+      const MshrToken token = rng() % 6;  // Few values: the same token repeats.
+      ASSERT_EQ(mshr.allocate(line, token), !tracked) << "op " << op;
+      ref[line].push_back(token);
+      merges += tracked;
+    } else {
+      auto it = ref.begin();
+      std::advance(it, static_cast<long>(rng() % ref.size()));
+      const auto waiters = mshr.release(it->first);
+      ASSERT_TRUE(std::equal(waiters.begin(), waiters.end(), it->second.begin(),
+                             it->second.end()))
+          << "op " << op;
+      ref.erase(it);
+      ++releases;
+    }
+    ASSERT_EQ(mshr.size(), ref.size()) << "op " << op;
+    for (const Addr line : pool) ASSERT_EQ(mshr.has(line), ref.count(line) != 0) << "op " << op;
+  }
+  EXPECT_GT(entry_cap_hits, 0u);
+  EXPECT_GT(merge_cap_hits, 0u);
+  EXPECT_GT(merges, 0u);
+  EXPECT_GT(releases, 1000u);
 }
 
 }  // namespace

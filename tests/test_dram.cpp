@@ -109,7 +109,7 @@ GpuConfig config() {
 
 TEST(Channel, TrrdGatesActsAcrossBanks) {
   const GpuConfig cfg = config();
-  DramChannel ch(cfg, 0);
+  DramChannel ch(cfg);
   ch.issue(CommandKind::kActivate, 0, 1, 100);
   EXPECT_FALSE(ch.can_issue(CommandKind::kActivate, 1, 100 + cfg.timing.tRRD - 1));
   EXPECT_TRUE(ch.can_issue(CommandKind::kActivate, 1, 100 + cfg.timing.tRRD));
@@ -117,7 +117,7 @@ TEST(Channel, TrrdGatesActsAcrossBanks) {
 
 TEST(Channel, TccdGatesSameBankGroupCas) {
   const GpuConfig cfg = config();
-  DramChannel ch(cfg, 0);
+  DramChannel ch(cfg);
   // Banks 0 and 4 share bank group 0 (group = bank % 4).
   ch.issue(CommandKind::kActivate, 0, 1, 0);
   ch.issue(CommandKind::kActivate, 4, 1, cfg.timing.tRRD);
@@ -128,7 +128,7 @@ TEST(Channel, TccdGatesSameBankGroupCas) {
 
 TEST(Channel, DataBusSerializesBursts) {
   const GpuConfig cfg = config();
-  DramChannel ch(cfg, 0);
+  DramChannel ch(cfg);
   // Banks 0 and 1 are in different groups, so only the bus constrains them.
   ch.issue(CommandKind::kActivate, 0, 1, 0);
   ch.issue(CommandKind::kActivate, 1, 1, cfg.timing.tRRD);
@@ -142,7 +142,7 @@ TEST(Channel, DataBusSerializesBursts) {
 
 TEST(Channel, CountsEnergyEvents) {
   const GpuConfig cfg = config();
-  DramChannel ch(cfg, 0);
+  DramChannel ch(cfg);
   ch.issue(CommandKind::kActivate, 2, 9, 0);
   ch.issue(CommandKind::kRead, 2, 9, cfg.timing.tRCD);
   ch.issue(CommandKind::kWrite, 2, 9, cfg.timing.tRCD + 5 * cfg.timing.tBURST);
@@ -155,7 +155,7 @@ TEST(Channel, CountsEnergyEvents) {
 
 TEST(Channel, RblHistogramsSplitReadOnlyRows) {
   const GpuConfig cfg = config();
-  DramChannel ch(cfg, 0);
+  DramChannel ch(cfg);
   const DramTiming& t = cfg.timing;
   // Row 1 on bank 0 serves two reads then closes; row 2 on bank 1 serves
   // one read and one write and is left open for the flush. Commands are

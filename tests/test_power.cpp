@@ -72,7 +72,7 @@ TEST(PowerAccounting, RefreshEventsFollowTrefi) {
 TEST(PowerAccounting, ChannelEnergyMatchesHandArithmetic) {
   const GpuConfig cfg = test_config();
   const EnergyParams& p = cfg.energy;
-  dram::DramChannel ch(cfg, 0);
+  dram::DramChannel ch(cfg);
   ch.issue(dram::CommandKind::kActivate, 0, 1, 0);
   ch.issue(dram::CommandKind::kRead, 0, 1, cfg.timing.tRCD);
   ch.issue(dram::CommandKind::kPrecharge, 0, kInvalidRow, 60);

@@ -7,6 +7,7 @@
 
 #include "common/config.hpp"
 #include "gpu/functional_memory.hpp"
+#include "workloads/patterns.hpp"
 #include "workloads/registry.hpp"
 
 namespace lazydram::workloads {
@@ -118,6 +119,35 @@ TEST(Registry, GroupPartitions) {
   EXPECT_EQ(fig12_workload_names().size() + group4_workload_names().size(), 20u);
   for (const std::string& name : group4_workload_names())
     EXPECT_EQ(make_workload(name)->group(), 4u);
+}
+
+
+TEST(WarpOp, AssignmentOverwritesOnlyTheHeaderAndUsedLanes) {
+  gpu::WarpOp op;
+  op = wide_load(0x4000, 4, /*approximable=*/true);
+  op = gpu::WarpOp::compute(3);
+  EXPECT_EQ(op.kind, gpu::WarpOp::Kind::kCompute);
+  EXPECT_EQ(op.cycles, 3u);
+  EXPECT_EQ(op.num_addrs, 0u);
+  EXPECT_FALSE(op.approximable);
+  EXPECT_EQ(op.addrs[3], 0x4000 + 3 * kLineBytes);  // Lanes past num_addrs untouched.
+
+  op = gpu::WarpOp::load_line(0x12345678, /*approximable=*/true);
+  EXPECT_EQ(op.kind, gpu::WarpOp::Kind::kLoad);
+  EXPECT_EQ(op.cycles, 1u);
+  EXPECT_EQ(op.num_addrs, 1u);
+  EXPECT_TRUE(op.approximable);
+  EXPECT_EQ(op.addrs[0], line_base(0x12345678));
+  EXPECT_EQ(op.addrs[1], 0x4000 + kLineBytes);
+
+  op = gpu::WarpOp::compute(5);
+  op = wide_store(0x8040, 3);
+  EXPECT_EQ(op.kind, gpu::WarpOp::Kind::kStore);
+  EXPECT_EQ(op.cycles, 1u);
+  EXPECT_EQ(op.num_addrs, 3u);
+  EXPECT_FALSE(op.approximable);
+  for (unsigned i = 0; i < 3; ++i) EXPECT_EQ(op.addrs[i], 0x8000 + i * kLineBytes);
+  EXPECT_EQ(op.addrs[3], 0x4000 + 3 * kLineBytes);
 }
 
 }  // namespace
