@@ -1,6 +1,8 @@
 // Google-benchmark microbenchmarks of the performance-critical simulator
 // components: the DRAM command engine, FR-FCFS/lazy scheduling decisions,
-// the VP unit's nearest-line search and the L1 MSHR table.
+// the VP unit's nearest-line search, the L1 MSHR table, and the functional
+// layer's two per-run costs: one approximate SCP error pass and a
+// `fill_smooth` input initialization.
 //
 // `bench_micro --perf` instead runs the overhead A/B: one end-to-end SCP run
 // with self-observability off, on, and with lifecycle tracing, and exits
@@ -34,6 +36,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workloads/apps.hpp"
+#include "workloads/patterns.hpp"
 
 namespace {
 
@@ -137,6 +140,44 @@ void BM_MshrAllocateMergeRelease(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 5);
 }
 BENCHMARK(BM_MshrAllocateMergeRelease);
+
+// One SCP compute_output through an approximate view, as collect_metrics
+// runs it: on a fresh copy-on-write child of SCP's initialized image, over
+// an overlay holding about 10% of the lines SCP may approximate (each line
+// predicted as the line after it, a seeded draw).
+void BM_ScpFunctionalPass(benchmark::State& state) {
+  const auto scp = workloads::make_scp();
+  gpu::MemoryImage image;
+  scp->init_memory(image);
+  gpu::ApproxOverlay overlay;
+  Rng rng(5);
+  std::array<std::uint8_t, kLineBytes> next{};
+  for (const workloads::AddrRange& range : scp->approximable_ranges())
+    for (Addr line = range.base; line < range.base + range.bytes; line += kLineBytes)
+      if (rng.next_bool(0.1)) {
+        image.read(line + kLineBytes, next.data(), kLineBytes);
+        overlay.record(line, next.data());
+      }
+  for (auto _ : state) {
+    gpu::MemoryImage child = gpu::MemoryImage::copy_on_write(image);
+    gpu::MemView view(child, &overlay);
+    scp->compute_output(view);
+    benchmark::DoNotOptimize(child.pages());
+  }
+}
+BENCHMARK(BM_ScpFunctionalPass)->Unit(benchmark::kMillisecond);
+
+// fill_smooth of 256K f32s (1 MiB) into a fresh image.
+void BM_FillSmooth(benchmark::State& state) {
+  constexpr std::uint64_t kElems = 1u << 18;
+  for (auto _ : state) {
+    gpu::MemoryImage image;
+    workloads::fill_smooth(image, workloads::MiB(16), kElems, 0.5, 5.0, 2.0);
+    benchmark::DoNotOptimize(image.pages());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kElems));
+}
+BENCHMARK(BM_FillSmooth)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Overhead A/B (--perf): the same end-to-end SCP Dyn-DMS+AMS run three ways,

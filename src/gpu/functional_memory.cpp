@@ -1,5 +1,7 @@
 #include "gpu/functional_memory.hpp"
 
+#include <algorithm>
+
 namespace lazydram::gpu {
 
 void ApproxOverlay::record(Addr line_addr, const std::uint8_t* bytes) {
@@ -159,38 +161,69 @@ void FunctionalMemory::read_line(Addr line_addr, std::uint8_t out[kLineBytes]) c
   image_.read(line_addr, out, kLineBytes);
 }
 
-void MemView::read4(Addr addr, std::uint8_t out[4]) const {
-  addr += bias_;
-  const MemoryImage::Slot& s = storage_.view_slot(addr, overlay_);
-  const std::size_t offset = static_cast<std::size_t>(addr % kPageBytes);
-  if ((s.approx_mask >> (offset / kLineBytes) & 1u) != 0) {
-    // Only a masked line probes the overlay hash.
-    const ApproxOverlay::Line* line = overlay_->find(line_base(addr));
-    LD_ASSERT(line != nullptr && addr % kLineBytes + 4 <= kLineBytes);
-    std::memcpy(out, line->data() + addr % kLineBytes, 4);
-  } else if (offset + 4 > kPageBytes) {
-    storage_.read(addr, out, 4);  // Straddles a page.
-  } else if (s.read != nullptr) {
-    std::memcpy(out, s.read->data() + offset, 4);
-  } else {
-    std::memset(out, 0, 4);
+namespace {
+
+/// Copies page bytes [offset, offset + n) to `out`; a null page reads zero.
+void copy_page_bytes(const std::uint8_t* page, std::size_t offset, std::uint8_t* out,
+                     std::size_t n) {
+  if (page != nullptr)
+    std::memcpy(out, page + offset, n);
+  else
+    std::memset(out, 0, n);
+}
+
+}  // namespace
+
+void MemView::read_bytes(Addr addr, std::uint8_t* out, std::size_t n) const {
+  while (n > 0) {
+    const std::size_t offset = static_cast<std::size_t>(addr % kPageBytes);
+    const std::size_t chunk = std::min(n, kPageBytes - offset);
+    const MemoryImage::Slot& s = storage_.view_slot(addr, overlay_);
+    const std::uint8_t* page = s.read != nullptr ? s.read->data() : nullptr;
+    // Bits first..last: the lines this chunk covers.
+    const std::size_t first = offset / kLineBytes;
+    const std::size_t last = (offset + chunk - 1) / kLineBytes;
+    const auto covered =
+        static_cast<std::uint32_t>((std::uint64_t{2} << last) - (std::uint64_t{1} << first));
+    if ((s.approx_mask & covered) == 0) {
+      copy_page_bytes(page, offset, out, chunk);
+    } else {
+      // Line by line: only a masked line probes the overlay hash.
+      const Addr page_base = addr - offset;
+      for (std::size_t pos = offset; pos < offset + chunk;) {
+        const std::size_t line = pos / kLineBytes;
+        const std::size_t piece = std::min(offset + chunk, (line + 1) * kLineBytes) - pos;
+        if ((s.approx_mask >> line & 1u) != 0) {
+          const ApproxOverlay::Line* bytes = overlay_->find(page_base + line * kLineBytes);
+          LD_ASSERT(bytes != nullptr);
+          std::memcpy(out + (pos - offset), bytes->data() + pos % kLineBytes, piece);
+        } else {
+          copy_page_bytes(page, pos, out + (pos - offset), piece);
+        }
+        pos += piece;
+      }
+    }
+    addr += chunk;
+    out += chunk;
+    n -= chunk;
   }
 }
 
 float MemView::read_f32(Addr addr) const {
   float v;
-  std::uint8_t buf[4];
-  read4(addr, buf);
-  std::memcpy(&v, buf, 4);
+  read_bytes(addr + bias_, reinterpret_cast<std::uint8_t*>(&v), 4);
   return v;
 }
 
 std::uint32_t MemView::read_u32(Addr addr) const {
   std::uint32_t v;
-  std::uint8_t buf[4];
-  read4(addr, buf);
-  std::memcpy(&v, buf, 4);
+  read_bytes(addr + bias_, reinterpret_cast<std::uint8_t*>(&v), 4);
   return v;
+}
+
+void MemView::read_f32s(Addr addr, float* out, std::size_t n) const {
+  LD_ASSERT_MSG(addr % 4 == 0, "f32 spans must be 4-byte aligned");
+  read_bytes(addr + bias_, reinterpret_cast<std::uint8_t*>(out), 4 * n);
 }
 
 }  // namespace lazydram::gpu

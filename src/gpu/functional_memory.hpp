@@ -85,6 +85,10 @@ class MemoryImage {
   void write_f32(Addr addr, float value);
   std::uint32_t read_u32(Addr addr) const;
   void write_u32(Addr addr, std::uint32_t value);
+  /// Writes values[0..n) as consecutive f32s from `addr`, one page at a time.
+  void write_f32s(Addr addr, const float* values, std::size_t n) {
+    write(addr, reinterpret_cast<const std::uint8_t*>(values), 4 * n);
+  }
 
   /// Pages this image owns (a child's read-through pages are not counted).
   std::size_t pages() const { return pages_.size(); }
@@ -174,10 +178,19 @@ class MemView {
   std::uint32_t read_u32(Addr addr) const;
   void write_u32(Addr addr, std::uint32_t value) { storage_.write_u32(addr + bias_, value); }
 
+  /// Reads n consecutive f32s from `addr` (4-byte aligned) into out[0..n),
+  /// byte for byte what n read_f32 calls return. Resolves one slot per page
+  /// and copies the page's run whole unless one of its lines is approximate;
+  /// only those lines read the overlay.
+  void read_f32s(Addr addr, float* out, std::size_t n) const;
+  void write_f32s(Addr addr, const float* values, std::size_t n) {
+    storage_.write_f32s(addr + bias_, values, n);
+  }
+
  private:
-  /// Reads 4 bytes honoring the overlay. 4-byte scalars never straddle a
-  /// line (lines are 128B-aligned and scalars 4B-aligned).
-  void read4(Addr addr, std::uint8_t out[4]) const;
+  /// Reads n bytes from `addr` (already biased) honoring the overlay, one
+  /// page chunk at a time: the scalar reads and read_f32s all go through it.
+  void read_bytes(Addr addr, std::uint8_t* out, std::size_t n) const;
 
   MemoryImage& storage_;
   const ApproxOverlay* overlay_;

@@ -93,18 +93,28 @@ class BlackScholesWorkload final : public Workload {
     const auto cdf = [](double x) {
       return 0.5 * std::erfc(-x / std::sqrt(2.0));
     };
-    for (std::uint64_t i = 0; i < kOptions; ++i) {
-      const double s = view.read_f32(f32_addr(kSpot, i));
-      const double k = view.read_f32(f32_addr(kStrike, i));
-      const double t = view.read_f32(f32_addr(kExpiry, i));
-      const double r = view.read_f32(f32_addr(kRate, i));
-      const double v = view.read_f32(f32_addr(kVol, i));
-      const double sig = std::max(1e-3, v) * std::sqrt(std::max(1e-3, t));
-      const double d1 =
-          (std::log(std::max(1e-3, s / std::max(1e-3, k))) + (r + 0.5 * v * v) * t) / sig;
-      const double d2 = d1 - sig;
-      const double call = s * cdf(d1) - k * std::exp(-r * t) * cdf(d2);
-      view.write_f32(f32_addr(kPrice, i), static_cast<float>(call));
+    // One page of each array per step: five input runs in, one price run out.
+    constexpr std::uint64_t kChunk = gpu::kPageBytes / 4;
+    static_assert(kOptions % kChunk == 0);
+    float in[5][kChunk];
+    float price[kChunk];
+    for (std::uint64_t first = 0; first < kOptions; first += kChunk) {
+      for (unsigned a = 0; a < 5; ++a)
+        view.read_f32s(f32_addr(kArrays[a], first), in[a], kChunk);
+      for (std::uint64_t j = 0; j < kChunk; ++j) {
+        const double s = in[0][j];
+        const double k = in[1][j];
+        const double t = in[2][j];
+        const double r = in[3][j];
+        const double v = in[4][j];
+        const double sig = std::max(1e-3, v) * std::sqrt(std::max(1e-3, t));
+        const double d1 =
+            (std::log(std::max(1e-3, s / std::max(1e-3, k))) + (r + 0.5 * v * v) * t) / sig;
+        const double d2 = d1 - sig;
+        const double call = s * cdf(d1) - k * std::exp(-r * t) * cdf(d2);
+        price[j] = static_cast<float>(call);
+      }
+      view.write_f32s(f32_addr(kPrice, first), price, kChunk);
     }
   }
 

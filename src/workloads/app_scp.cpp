@@ -103,15 +103,15 @@ class ScpWorkload final : public Workload {
   }
 
   void compute_output(gpu::MemView& view) const override {
+    float a[kVecElems];
+    float b[kVecElems];
     for (unsigned p = 0; p < kPairs; ++p) {
+      const std::uint64_t first = static_cast<std::uint64_t>(p) * kVecElems;
+      view.read_f32s(f32_addr(kA, first), a, kVecElems);
+      view.read_f32s(f32_addr(kB, first), b, kVecElems);
       double acc = 0.0;
-      for (std::uint64_t e = 0; e < kVecElems; ++e) {
-        const float a =
-            view.read_f32(f32_addr(kA, static_cast<std::uint64_t>(p) * kVecElems + e));
-        const float b =
-            view.read_f32(f32_addr(kB, static_cast<std::uint64_t>(p) * kVecElems + e));
-        acc += static_cast<double>(a) * static_cast<double>(b);
-      }
+      for (std::uint64_t e = 0; e < kVecElems; ++e)
+        acc += static_cast<double>(a[e]) * static_cast<double>(b[e]);
       // Coefficients scale the result additively-averaged, so the output
       // error stays proportional to the fraction of approximated loads.
       double coef_sum = 0.0;

@@ -42,10 +42,17 @@ FunctionalPasses::FunctionalPasses(const Workload& workload, const gpu::Function
 
 void Workload::tally_output_errors(const gpu::MemView& exact, const gpu::MemView& approx,
                                    ErrorTally& tally) const {
+  constexpr std::uint64_t kChunk = gpu::kPageBytes / 4;
+  float exact_run[kChunk];
+  float approx_run[kChunk];
   for (const AddrRange& range : output_ranges()) {
     LD_ASSERT_MSG(range.bytes % 4 == 0, "output ranges must be f32 arrays");
-    for (Addr a = range.base; a < range.base + range.bytes; a += 4)
-      tally.add(exact.read_f32(a), approx.read_f32(a));
+    for (std::uint64_t first = 0; first < range.bytes / 4; first += kChunk) {
+      const std::uint64_t count = std::min(kChunk, range.bytes / 4 - first);
+      exact.read_f32s(range.base + 4 * first, exact_run, count);
+      approx.read_f32s(range.base + 4 * first, approx_run, count);
+      for (std::uint64_t j = 0; j < count; ++j) tally.add(exact_run[j], approx_run[j]);
+    }
   }
 }
 

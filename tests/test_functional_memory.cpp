@@ -1,16 +1,21 @@
 // FunctionalMemory / MemoryImage / MemView tests: sparse storage, typed
 // access, copy-on-write children, page moves, the approximate-line overlay,
-// exact-vs-approximate views and their shared page cache.
+// exact-vs-approximate views and their shared page cache, span reads and
+// writes, and the input fills that write by span.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstring>
+#include <map>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/scheduler_registry.hpp"
 #include "gpu/functional_memory.hpp"
 #include "gpu/gpu_top.hpp"
 #include "workloads/mix.hpp"
+#include "workloads/patterns.hpp"
 #include "workloads/registry.hpp"
 
 namespace lazydram::gpu {
@@ -257,6 +262,140 @@ TEST(MemView, PagesInOneCacheSlotStayDistinct) {
       EXPECT_EQ(view.read_u32(static_cast<Addr>(i) << 20), i + 1);
       if (round == 0 && i % 3 == 0) view.write_u32((static_cast<Addr>(i) << 20) + 4, 0);
     }
+}
+
+/// Byte-map reference of a view: the overlay's lines (first recording wins)
+/// over the child's bytes over the base's bytes; unmapped bytes are zero.
+struct ByteModel {
+  std::map<Addr, std::uint8_t> base;
+  std::map<Addr, std::uint8_t> child;
+  std::map<Addr, std::array<std::uint8_t, kLineBytes>> overlay;
+
+  std::uint8_t image_byte(Addr a) const {
+    for (const auto* bytes : {&child, &base})
+      if (const auto it = bytes->find(a); it != bytes->end()) return it->second;
+    return 0;
+  }
+  std::uint8_t view_byte(Addr a, bool approx) const {
+    if (approx)
+      if (const auto it = overlay.find(line_base(a)); it != overlay.end())
+        return it->second[a % kLineBytes];
+    return image_byte(a);
+  }
+};
+
+TEST(MemView, SpanReadsMatchScalarReads) {
+  // A 12-page window: the base owns pages 0-5, the copy-on-write child
+  // writes into pages 0-7 (copying base pages in), and pages 8-11 and
+  // everything past the window stay unowned and read zero. The overlay's
+  // lines cover the whole window.
+  constexpr Addr kWin = Addr{3} << 20;
+  constexpr std::size_t kWinBytes = 12 * kPageBytes;
+  constexpr std::size_t kWriteBytes = 8 * kPageBytes;
+  constexpr std::size_t kMaxSpan = 3000;
+  Rng rng(0x5EED);
+  ByteModel model;
+  MemoryImage base;
+  for (Addr a = kWin; a < kWin + 6 * kPageBytes; ++a) {
+    const auto byte = static_cast<std::uint8_t>(rng.next_below(256));
+    base.write(a, &byte, 1);
+    model.base[a] = byte;
+  }
+  MemoryImage child = MemoryImage::copy_on_write(base);
+  MemoryImage scalar_child = MemoryImage::copy_on_write(base);
+  ApproxOverlay overlay;
+
+  // Biases: none, a line and a word, whole pages, and pages less two words.
+  const Addr biases[] = {0, kLineBytes + 4, 2 * kPageBytes, 3 * kPageBytes - 8};
+  std::vector<float> spanned(kMaxSpan);
+  std::vector<float> scalars(kMaxSpan);
+  std::vector<float> values(kMaxSpan);
+  // Records `line` in the overlay (a no-op for the overlay and the model if
+  // it is already there: first recording wins).
+  const auto record = [&](Addr line) {
+    std::array<std::uint8_t, kLineBytes> bytes;
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
+    overlay.record(line, bytes.data());
+    model.overlay.try_emplace(line, bytes);
+  };
+  for (int round = 0; round < 300; ++round) {
+    record(kWin + rng.next_below(kWinBytes / kLineBytes) * kLineBytes);
+    // A write: by span on `child`, element by element on `scalar_child`.
+    {
+      const std::size_t n = rng.next_below(kMaxSpan + 1);
+      const Addr at = kWin + 4 * rng.next_below((kWriteBytes - 4 * n) / 4 + 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto bits = static_cast<std::uint32_t>(rng.next_u64());
+        std::memcpy(&values[i], &bits, 4);
+        scalar_child.write_f32(at + 4 * i, values[i]);
+        for (unsigned b = 0; b < 4; ++b)
+          model.child[at + 4 * i + b] = static_cast<std::uint8_t>(bits >> (8 * b));
+      }
+      child.write_f32s(at, values.data(), n);
+    }
+    // One run read by span and by scalars through an exact or an approximate
+    // view, twice: the second time after a line inside the run was recorded,
+    // with the other kind of read going first to meet the stale masks.
+    const bool approx = round % 3 != 0;
+    const Addr bias = biases[rng.next_below(std::size(biases))];
+    const MemView view(child, approx ? &overlay : nullptr, bias);
+    const std::size_t n = rng.next_below(kMaxSpan + 1);
+    const Addr at = kWin + 4 * rng.next_below(kWinBytes / 4);
+    for (const bool scalars_first : {round % 2 == 0, round % 2 != 0}) {
+      const auto read_scalars = [&] {
+        for (std::size_t i = 0; i < n; ++i) scalars[i] = view.read_f32(at + 4 * i);
+      };
+      if (scalars_first) read_scalars();
+      view.read_f32s(at, spanned.data(), n);
+      if (!scalars_first) read_scalars();
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint8_t want[4];
+        for (unsigned b = 0; b < 4; ++b)
+          want[b] = model.view_byte(at + bias + 4 * i + b, approx);
+        ASSERT_EQ(std::memcmp(&spanned[i], want, 4), 0) << "round " << round << " element " << i;
+        ASSERT_EQ(std::memcmp(&scalars[i], want, 4), 0) << "round " << round << " element " << i;
+      }
+      if (n > 0) record(line_base(at + bias + 4 * rng.next_below(n)));
+    }
+  }
+  EXPECT_TRUE(same_pages(child, scalar_child));
+  EXPECT_GT(child.pages(), 6u);
+  EXPECT_GT(overlay.size(), 100u);
+}
+
+TEST(Patterns, FillsMatchScalarReference) {
+  // The per-element formulas of the fills, each value written on its own.
+  // `n` is not a multiple of a page of f32s and `base` is not page-aligned,
+  // so the fills' page-sized runs start and end mid-page.
+  using namespace workloads;
+  constexpr std::uint64_t n = 5000;
+  constexpr Addr base = MiB(3) + 200;
+  constexpr double kTwoPi = 6.283185307179586;
+
+  MemoryImage filled;
+  MemoryImage reference;
+  fill_smooth(filled, base, n, 0.35, 977.0, 1.0);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const double phase = kTwoPi * 977.0 * static_cast<double>(i) / static_cast<double>(n);
+    reference.write_f32(f32_addr(base, i), static_cast<float>(1.0 + 0.35 * std::sin(phase)));
+  }
+  EXPECT_TRUE(same_pages(filled, reference));
+
+  const Addr hashed = base + MiB(1);
+  fill_hash_random(filled, hashed, n, 0xB5, 20.0, 120.0);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const double u = mix_unit(0xB5 * 0x9e3779b97f4a7c15ULL + i);
+    reference.write_f32(f32_addr(hashed, i), static_cast<float>(20.0 + (120.0 - 20.0) * u));
+  }
+  EXPECT_TRUE(same_pages(filled, reference));
+
+  const Addr linear = base + MiB(2);
+  fill_linear(filled, linear, n, -3.5, 0.25);
+  for (std::uint64_t i = 0; i < n; ++i)
+    reference.write_f32(f32_addr(linear, i),
+                        static_cast<float>(-3.5 + 0.25 * static_cast<double>(i)));
+  EXPECT_TRUE(same_pages(filled, reference));
+  EXPECT_EQ(filled.pages(), 3 * ((200 + 4 * n) / kPageBytes + 1));
 }
 
 TEST(FunctionalPasses, ApplicationErrorLeavesTheRunImageIntact) {
