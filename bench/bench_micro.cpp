@@ -115,7 +115,7 @@ BENCHMARK(BM_ValuePredictorSearch);
 // as the SM does.
 void BM_MshrAllocateMergeRelease(benchmark::State& state) {
   constexpr unsigned kLive = 32;
-  cache::MshrTable mshr(kLive);
+  cache::MshrTable<cache::MshrToken> mshr(kLive);
   Rng rng(11);
   std::array<Addr, kLive> live{};
   Addr next = 0;

@@ -289,7 +289,7 @@ void ProtocolChecker::on_drop(const MemRequest& req, Cycle now,
   const bool continuation = drain_row_[bank] == row;
   if (!continuation) {
     // New row-group drop: the cumulative coverage must be strictly below the
-    // cap *before* this drop counts (AmsUnit::should_drop refuses at >=).
+    // cap *before* this drop counts (AmsUnit::has_budget refuses at >=).
     const double coverage =
         reads_received_ == 0 ? 0.0
                              : static_cast<double>(reads_dropped_) /
@@ -299,7 +299,7 @@ void ProtocolChecker::on_drop(const MemRequest& req, Cycle now,
              fmt("new group drop at coverage %.4f >= cap %.4f (%" PRIu64 "/%" PRIu64 ")",
                  coverage, opts_.coverage_cap, reads_dropped_, reads_received_));
     // Per-tenant budget: the owning tenant's own coverage must also be below
-    // its cap (mirrors AmsUnit::should_drop's tenant check exactly).
+    // its cap (mirrors AmsUnit::has_budget's tenant check exactly).
     if (req.tenant < opts_.tenant_coverage_caps.size()) {
       const std::uint64_t t_reads = tenant_reads_received_[req.tenant];
       const std::uint64_t t_drops = tenant_reads_dropped_[req.tenant];

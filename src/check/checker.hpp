@@ -195,7 +195,7 @@ class ProtocolChecker {
   Cycle last_drop_cycle_ = 0;
 
   // AMS coverage shadow accounting (mirrors AmsUnit's integer counters, so
-  // the coverage comparison is arithmetically identical to should_drop's).
+  // the coverage comparison is arithmetically identical to has_budget's).
   std::uint64_t reads_received_ = 0;
   std::uint64_t reads_dropped_ = 0;
   // Per-tenant shadow counters (sized from opts_.tenant_coverage_caps).

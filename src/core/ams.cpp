@@ -44,18 +44,9 @@ void AmsUnit::set_tenant_qos(const std::vector<TenantQos>& qos) {
     tenant_caps_.push_back(q.coverage_cap < 0.0 ? params_.coverage_cap : q.coverage_cap);
 }
 
-bool AmsUnit::should_drop(const PendingQueue& queue, const MemRequest& candidate) const {
-  if (!ready_ || halted_) return false;
-
+bool AmsUnit::admits_row(const PendingQueue& queue, const MemRequest& candidate) const {
   // Criterion 1: annotated-approximable global read.
   if (!candidate.is_read() || !candidate.approximable) return false;
-
-  // Criterion 3: cumulative coverage below the user cap — the global cap
-  // first, then the owning tenant's own budget when tenancy is configured.
-  if (coverage() >= params_.coverage_cap) return false;
-  if (!tenant_caps_.empty() && candidate.tenant < tenant_caps_.size() &&
-      tenant_coverage(candidate.tenant) >= tenant_caps_[candidate.tenant])
-    return false;
 
   // Criterion 4: the whole pending row group must be approximable reads
   // (never drop a row that pending writes will touch) and its observed RBL
@@ -66,9 +57,7 @@ bool AmsUnit::should_drop(const PendingQueue& queue, const MemRequest& candidate
   // Boundary audited: the paper drops when the observed RBL is <= Th_RBL
   // ("rows with a low access count"), so exact equality DOES drop — the
   // refusal is strictly `>`. Pinned by AmsUnit.DropsAtExactThRblBoundary.
-  if (queue.row_group_size(bank, row) > th_rbl_) return false;
-
-  return true;
+  return queue.row_group_size(bank, row) <= th_rbl_;
 }
 
 void AmsUnit::on_read_received(TenantId tenant) {

@@ -49,9 +49,24 @@ class AmsUnit {
   /// to pre-tenancy behavior.
   void set_tenant_qos(const std::vector<TenantQos>& qos);
 
-  /// Criteria 1, 3, 4 on the candidate (criterion 2, DMS delay, is the
-  /// caller's responsibility). Side-effect free.
-  bool should_drop(const PendingQueue& queue, const MemRequest& candidate) const;
+  // The candidate is dropped iff admits_row() and has_budget() both hold
+  // (criteria 1, 3, 4; criterion 2, the DMS delay, is the caller's). Both
+  // are side-effect free.
+
+  /// Criteria 1 and 4: the candidate is an annotated-approximable read, and
+  /// its pending row group is all approximable reads no larger than Th_RBL.
+  /// A refusal here depends only on the candidate's bank's pending set and
+  /// Th_RBL, so it holds until one of them changes.
+  bool admits_row(const PendingQueue& queue, const MemRequest& candidate) const;
+
+  /// The unit is ready, not halted, and criterion 3 holds: coverage below
+  /// the global cap and, under tenancy, below `tenant`'s own cap. A refusal
+  /// here is global and can lift on any cycle.
+  bool has_budget(TenantId tenant) const {
+    if (!may_drop()) return false;
+    return tenant_caps_.empty() || tenant >= tenant_caps_.size() ||
+           tenant_coverage(tenant) < tenant_caps_[tenant];
+  }
 
   /// True iff a drop answer is possible at all right now (fast pre-check).
   /// The global cap remains necessary for every drop even with per-tenant

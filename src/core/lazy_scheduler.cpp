@@ -31,7 +31,10 @@ Decision LazyScheduler::decide(const PendingQueue& queue, const BankView& bank,
         // stalled request (the bank's gated miss candidate) stays gated
         // while hits stream past it, so its interval must stay open.
         if (stalled_[bank.bank] == hit->id) trace_stall_end(bank.bank, now);
-        return Decision::serve(hit->id);
+        // Stable: only a new request, a served or dropped one, a command to
+        // the bank or a delay change can displace the oldest hit, and an
+        // aged hit stays aged.
+        return Decision::serve_stable(hit->id);
       }
       trace_stall_begin(bank.bank, hit->id, now, hit_delay);
       // The gate flips exactly at enqueue + delay; until then (and absent
@@ -56,10 +59,17 @@ Decision LazyScheduler::decide(const PendingQueue& queue, const BankView& bank,
   trace_stall_end(bank.bank, now);
 
   // 3. AMS drop decision (criteria 1, 3, 4; criterion 2 was the age gate).
-  if (spec_.ams_enabled && ams_.should_drop(queue, *cand)) return Decision::drop(cand->id);
+  //    A serve that only lacks budget (warm-up, halt, coverage cap) may turn
+  //    into a drop on any cycle, so it is not stable.
+  if (spec_.ams_enabled && ams_.admits_row(queue, *cand)) {
+    if (ams_.has_budget(cand->tenant)) return Decision::drop(cand->id);
+    return Decision::serve(cand->id);
+  }
 
-  // 4. FR-FCFS service.
-  return Decision::serve(cand->id);
+  // 4. FR-FCFS service. The candidate stays the bank's oldest request, its
+  //    age gate stays open and the row refusal (criterion 1 or 4) holds until
+  //    the pending set or Th_RBL changes: stable.
+  return Decision::serve_stable(cand->id);
 }
 
 void LazyScheduler::tick(Cycle now, std::uint64_t bus_busy_total) {

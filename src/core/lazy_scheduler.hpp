@@ -13,6 +13,10 @@
 //      MemoryController drains the rest to the VP unit one per cycle,
 //      bypassing age and coverage, without consulting this policy.
 //   4. Otherwise it is served (PRE/ACT as needed) per FR-FCFS.
+// A served hit (1) and a serve that AMS refused on the row itself (criterion
+// 1 or 4, or AMS off) are marked Decision::stable: they hold until the
+// bank's state, the delay or Th_RBL changes. A serve that only lacked drop
+// budget is not.
 #pragma once
 
 #include <cstdint>

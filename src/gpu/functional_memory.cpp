@@ -138,20 +138,6 @@ void MemoryImage::write_f32(Addr addr, float value) {
   write(addr, buf, 4);
 }
 
-std::uint32_t MemoryImage::read_u32(Addr addr) const {
-  std::uint32_t v;
-  std::uint8_t buf[4];
-  read(addr, buf, 4);
-  std::memcpy(&v, buf, 4);
-  return v;
-}
-
-void MemoryImage::write_u32(Addr addr, std::uint32_t value) {
-  std::uint8_t buf[4];
-  std::memcpy(buf, &value, 4);
-  write(addr, buf, 4);
-}
-
 void FunctionalMemory::read_line(Addr line_addr, std::uint8_t out[kLineBytes]) const {
   LD_ASSERT(line_addr % kLineBytes == 0);
   if (const ApproxOverlay::Line* line = overlay_.find(line_addr)) {
@@ -211,12 +197,6 @@ void MemView::read_bytes(Addr addr, std::uint8_t* out, std::size_t n) const {
 
 float MemView::read_f32(Addr addr) const {
   float v;
-  read_bytes(addr + bias_, reinterpret_cast<std::uint8_t*>(&v), 4);
-  return v;
-}
-
-std::uint32_t MemView::read_u32(Addr addr) const {
-  std::uint32_t v;
   read_bytes(addr + bias_, reinterpret_cast<std::uint8_t*>(&v), 4);
   return v;
 }

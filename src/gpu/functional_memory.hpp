@@ -83,8 +83,6 @@ class MemoryImage {
 
   float read_f32(Addr addr) const;
   void write_f32(Addr addr, float value);
-  std::uint32_t read_u32(Addr addr) const;
-  void write_u32(Addr addr, std::uint32_t value);
   /// Writes values[0..n) as consecutive f32s from `addr`, one page at a time.
   void write_f32s(Addr addr, const float* values, std::size_t n) {
     write(addr, reinterpret_cast<const std::uint8_t*>(values), 4 * n);
@@ -175,8 +173,6 @@ class MemView {
 
   float read_f32(Addr addr) const;
   void write_f32(Addr addr, float value) { storage_.write_f32(addr + bias_, value); }
-  std::uint32_t read_u32(Addr addr) const;
-  void write_u32(Addr addr, std::uint32_t value) { storage_.write_u32(addr + bias_, value); }
 
   /// Reads n consecutive f32s from `addr` (4-byte aligned) into out[0..n),
   /// byte for byte what n read_f32 calls return. Resolves one slot per page

@@ -211,9 +211,7 @@ void GpuTop::handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& 
 
   // Read. A miss merges into its line's miss-table entry, or allocates one
   // if the table and the controller's queue have room; else it stalls.
-  const auto it = hit ? p.waiting.end() : p.waiting.find(pkt.line_addr);
-  if (!hit && it == p.waiting.end() &&
-      (p.waiting.size() >= cfg_.l2.mshr_entries || !p.mc->can_accept())) {
+  if (!hit && (p.waiting.full() || !p.mc->can_accept()) && !p.waiting.has(pkt.line_addr)) {
     stalled = true;
     return;
   }
@@ -225,12 +223,10 @@ void GpuTop::handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& 
         PendingReply{core_cycle_ + cfg_.l2_hit_latency, reply});
     return;
   }
-  if (it != p.waiting.end()) {
-    it->second.push_back(pkt);
+  if (!p.waiting.allocate(pkt.line_addr, pkt)) {
     if (lifecycle_ != nullptr) lifecycle_->on_mshr_merge(pkt.line_addr);
     return;
   }
-  p.waiting.emplace(pkt.line_addr, std::vector<icnt::Packet>{pkt});
 
   MemRequest req;
   req.id = next_request_id_++;
@@ -328,16 +324,14 @@ void GpuTop::partition_tick(Partition& p, unsigned idx, bool mem_ticked) {
       p.pending_mc.push_back(wb);
     }
 
-    const auto it = p.waiting.find(reply->line_addr);
-    LD_ASSERT_MSG(it != p.waiting.end(), "DRAM reply with no waiting L2 miss");
-    for (const icnt::Packet& waiter : it->second) {
+    // release() asserts the line has a waiting L2 miss.
+    for (const icnt::Packet& waiter : p.waiting.release(reply->line_addr)) {
       icnt::Packet out = waiter;
       out.approximate = reply->approximate;
       out.parent = reply->id;  // Lifecycle stamp: which request this answers.
       p.pending_replies.push_back(
           PendingReply{core_cycle_ + cfg_.l2_hit_latency, out});
     }
-    p.waiting.erase(it);
   }
 
   // 5. Return replies toward the SMs.
@@ -544,6 +538,15 @@ void GpuTop::finalize() {
   // Credit the parked ticks of SMs still asleep, through the last cycle.
   for (SmId s = 0; s < sms_.size(); ++s) wake_sm(s, core_cycle_ + 1);
   for (Partition& p : partitions_) p.mc->finalize();
+}
+
+GpuTop::WorkCounts GpuTop::work_counts() const {
+  WorkCounts w = work_;
+  for (const Partition& p : partitions_) {
+    w.policy_decides += p.mc->policy_decides();
+    w.decisions_reused += p.mc->decisions_reused();
+  }
+  return w;
 }
 
 GpuTop::WheelSelfStats GpuTop::self_stats() const {

@@ -13,10 +13,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "cache/mshr.hpp"
 #include "common/clock.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
@@ -146,7 +146,8 @@ class GpuTop {
 
   /// Deterministic work counts of step(), kept out of every report so report
   /// bytes do not depend on them. Parked ticks are credited when an SM wakes
-  /// (or at finalize()), so sm_ticks_slept lags while SMs sleep.
+  /// (or at finalize()), so sm_ticks_slept lags while SMs sleep. The last
+  /// two are summed over the controllers.
   struct WorkCounts {
     std::uint64_t sm_ticks = 0;                 ///< Sm::tick() calls.
     std::uint64_t sm_ticks_slept = 0;           ///< Parked ticks skipped.
@@ -155,8 +156,10 @@ class GpuTop {
     std::uint64_t backlog_retries = 0;          ///< Stalled request packets retried.
     std::uint64_t backlog_retries_skipped = 0;  ///< Retries skipped on an unchanged key.
     std::uint64_t request_packets = 0;          ///< Request packets the partitions accepted.
+    std::uint64_t policy_decides = 0;           ///< Scheduler::decide() calls.
+    std::uint64_t decisions_reused = 0;         ///< Cached stable answers reused.
   };
-  const WorkCounts& work_counts() const { return work_; }
+  WorkCounts work_counts() const;
 
   /// True while SM `id` is out of step()'s tick set: its next tick would be
   /// parked (Sm::parked), so step() skips its ticks until a reply, a grant
@@ -186,8 +189,9 @@ class GpuTop {
     core::LazyScheduler* lazy = nullptr;  ///< Borrowed from mc's scheduler.
     std::unique_ptr<core::ValuePredictor> vp;
 
-    /// L2 miss table: line -> packets waiting for the refill.
-    std::unordered_map<Addr, std::vector<icnt::Packet>> waiting;
+    /// L2 miss table: line -> packets waiting for the refill, merged
+    /// without limit (the table's entry count is the only cap).
+    cache::MshrTable<icnt::Packet> waiting;
     std::deque<icnt::Packet> input_backlog;   ///< Stalled request packets.
     std::deque<MemRequest> pending_mc;        ///< Waiting for MC queue space.
     std::deque<PendingReply> pending_replies; ///< Waiting for reply crossbar.
@@ -195,7 +199,8 @@ class GpuTop {
     BacklogKey stalled_at;
     bool ams_ready = false;
 
-    explicit Partition(const CacheGeometry& geo) : l2(geo) {}
+    explicit Partition(const CacheGeometry& geo)
+        : l2(geo), waiting(geo.mshr_entries, cache::kUnlimitedMerges) {}
   };
 
   void partition_tick(Partition& p, unsigned idx, bool mem_ticked);

@@ -144,7 +144,7 @@ class Sm {
   const AddressMapper& mapper_;
 
   cache::Cache l1_;
-  cache::MshrTable mshr_;  ///< Token = warp index within warps_.
+  cache::MshrTable<cache::MshrToken> mshr_;  ///< Token = warp index within warps_.
   /// Decode scratch: every op_at writes here, and try_issue copies the
   /// header into the Warp and coalesces the lanes into Warp::lines.
   WarpOp decode_;

@@ -45,6 +45,7 @@ MemoryController::MemoryController(const GpuConfig& cfg, ChannelId id,
       drain_row_(cfg.banks_per_channel, kInvalidRow),
       bank_retry_at_(cfg.banks_per_channel, 0),
       bank_none_until_(cfg.banks_per_channel, 0),
+      stable_req_(cfg.banks_per_channel, kInvalidRequest),
       bank_acts_(cfg.banks_per_channel, 0),
       bank_cols_(cfg.banks_per_channel, 0),
       bank_drops_(cfg.banks_per_channel, 0) {
@@ -83,6 +84,7 @@ void MemoryController::unblock_bank(BankId b) {
   bank_retry_at_[b] = 0;
   bank_none_until_[b] = 0;
   blocked_ &= ~bank_bit(b);
+  stable_ &= ~bank_bit(b);
   cmd_wake_ = 0;
   drop_wake_ = 0;
 }
@@ -181,6 +183,13 @@ bool MemoryController::advance_request(const MemRequest& req, Cycle now,
 }
 
 Decision MemoryController::decide(BankId b, Cycle now) {
+  // A stable answer outlives the drain check below: it is only cached from
+  // a policy answer, and the bank's next drop (the only way to arm a drain)
+  // needs a kDrop answer, which a cached bank never gets to give.
+  if ((stable_ & bank_bit(b)) != 0) {
+    ++decisions_reused_;
+    return Decision::serve(stable_req_[b]);
+  }
   // Continue an admitted row-group drop, one request per cycle and without
   // the policy's age or coverage checks. A non-approximable request arriving
   // for the row mid-drain (a write OR a precise read) ends the drain: the
@@ -199,8 +208,15 @@ Decision MemoryController::decide(BankId b, Cycle now) {
   const dram::Bank& bank = dram_.bank(b);
   const Decision d =
       scheduler_->decide(queue_, BankView{b, bank.row_open(), bank.open_row()}, now);
+  ++policy_decides_;
   LD_ASSERT_MSG(d.action != Decision::Action::kNone || d.req_id == kInvalidRequest,
                 "kNone decision carries a request id (use none()/gated())");
+  LD_ASSERT_MSG(!d.stable || d.action == Decision::Action::kServe,
+                "only a kServe answer can be stable");
+  if (d.stable && row_policy_ == RowPolicy::kOpenRow) {
+    stable_ |= bank_bit(b);
+    stable_req_[b] = d.req_id;
+  }
   return d;
 }
 
@@ -226,6 +242,8 @@ void MemoryController::issue_one_command(Cycle now) {
   // command waits on only move forward, a gated kNone holds until its
   // horizon, and both memos are invalidated whenever the bank's pending set
   // changes.
+  // A bank holding a stable answer takes it from decide() without asking the
+  // policy (see stable_).
   // Memos are only honored under open-row policy: a skipped decide() under
   // the closed-row ablation could miss an idle precharge, so that pass
   // visits every bank.
@@ -272,6 +290,8 @@ void MemoryController::issue_one_command(Cycle now) {
       }
       Cycle retry_at = 0;
       if (advance_request(*req, now, &retry_at)) {
+        // The bank's row state moved: its stable answer may not hold.
+        stable_ &= ~bank_bit(b);
         rr_bank_ = b + 1 == num_banks_ ? 0 : b + 1;
         issued = true;
         return false;
@@ -343,13 +363,19 @@ void MemoryController::run_drop_pass(Cycle now) {
   // state), so it is evaluated once up front and again after each decide().
   // The scan stops early when it turns false before the last position of
   // the round-robin order.
+  //
+  // A bank holding a stable answer (stable_) is skipped: it answers kServe,
+  // and deciding it cannot end the scan (it has no drain to retire). A
+  // kServe keeps the pass from proving itself dropless, so any skipped bank
+  // still vetoes drop_wake_, exactly as its visit would have.
   if (!drops_live()) return;
   const bool open_row = row_policy_ == RowPolicy::kOpenRow;
   const BankId last = drop_rr_bank_ == 0 ? num_banks_ - 1 : drop_rr_bank_ - 1;
+  const std::uint64_t visit = queue_.nonempty_banks() | draining_;
   bool complete = true;
-  bool all_gated = true;
+  bool all_gated = (visit & stable_) == 0;
   Cycle min_wake = kNeverCycle;
-  for_each_bank_from(queue_.nonempty_banks() | draining_, drop_rr_bank_, [&](BankId b) {
+  for_each_bank_from(visit & ~stable_, drop_rr_bank_, [&](BankId b) {
     if (open_row && now < bank_none_until_[b]) {
       min_wake = std::min(min_wake, bank_none_until_[b]);
       return true;  // Age-gated: decide() is provably still kNone.
@@ -438,6 +464,14 @@ void MemoryController::tick(Cycle now_mem) {
     blocked_expiry_ = kNeverCycle;
     cmd_wake_ = 0;
     drop_wake_ = 0;
+    stable_ = 0;
+  }
+  // A Th_RBL change can turn a stable row refusal (AMS criterion 4) into a
+  // drop. The memos above answer kNone or bound command timing, neither of
+  // which reads Th_RBL, so only the stable answers go.
+  if (probe.th_rbl != last_th_rbl_) {
+    last_th_rbl_ = probe.th_rbl;
+    stable_ = 0;
   }
 
   // Idle short-circuit: with no pending requests there is no request to

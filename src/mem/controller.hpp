@@ -120,6 +120,11 @@ class MemoryController {
   std::uint64_t reads_dropped() const { return reads_dropped_; }
   const Summary& read_latency() const { return read_latency_; }
 
+  /// Scheduler::decide() calls made by the drop and command passes.
+  std::uint64_t policy_decides() const { return policy_decides_; }
+  /// Command-pass visits that reused a cached stable answer instead.
+  std::uint64_t decisions_reused() const { return decisions_reused_; }
+
   /// Read latency (enqueue -> data return, memory cycles) as a histogram;
   /// always on, feeds the run-level p50/p95/p99.
   const Histogram& read_latency_hist() const { return read_latency_hist_; }
@@ -202,9 +207,10 @@ class MemoryController {
   bool advance_request(const MemRequest& req, Cycle now, Cycle* retry_at = nullptr);
 
   /// The decision for bank `b` at `now`, shared by the drop and command
-  /// passes. While the bank's drain row group is all-approximable, the next
-  /// drop of its oldest request; otherwise the drain (if any) retires and
-  /// the policy decides.
+  /// passes. The bank's cached stable answer if it holds one; else, while
+  /// the bank's drain row group is all-approximable, the next drop of its
+  /// oldest request; otherwise the drain (if any) retires and the policy
+  /// decides.
   Decision decide(BankId b, Cycle now);
 
   /// True while the drop pass can find work: an active drain, or a policy
@@ -223,7 +229,8 @@ class MemoryController {
   Cycle bank_memo(BankId b) const { return std::max(bank_retry_at_[b], bank_none_until_[b]); }
   /// Marks `b` memo-blocked after one of its memos was set past now.
   void block_bank(BankId b);
-  /// Clears both memos of `b` (its pending set changed).
+  /// Clears both memos and the stable answer of `b` (its pending set
+  /// changed).
   void unblock_bank(BankId b);
   /// blocked_ with every bit whose memo has expired by `now` cleared. The
   /// expiry is lazy: the mask is only re-scanned once the earliest memo it
@@ -281,6 +288,15 @@ class MemoryController {
   /// the DMS delay changes (the horizon assumed it constant). Only honored
   /// under open-row policy, where a skipped decide() has no command to miss.
   std::vector<Cycle> bank_none_until_;
+  /// Stable-answer cache: bit b is set iff the policy's last answer for bank
+  /// b was a kServe of stable_req_[b] marked Decision::stable. While it is
+  /// set the drop pass skips the bank (a kServe never drops) and the command
+  /// pass reuses the request without asking the policy. Cleared for the bank
+  /// when its pending set changes (enqueue, drop) or a command issues to it,
+  /// and wholesale when the DMS delay or Th_RBL changes. Only set under
+  /// open-row policy, like the memos.
+  std::uint64_t stable_ = 0;
+  std::vector<RequestId> stable_req_;
   /// Bit b is set iff bank_memo(b) > the current cycle, once expired bits
   /// are cleared (blocked_banks()). Every memo set past now sets its bit;
   /// every memo invalidation clears it.
@@ -293,6 +309,8 @@ class MemoryController {
   std::uint64_t all_banks_ = 0;
   /// DMS delay observed last tick (bank_none_until_ invalidation edge).
   Cycle last_dms_delay_ = 0;
+  /// Th_RBL observed last tick (stable_ invalidation edge).
+  unsigned last_th_rbl_ = 0;
   /// Whole-pass memos: when a full scan finds every non-empty bank blocked
   /// by a per-bank memo (and nothing issued/dropped), the pass itself is
   /// skipped until the earliest per-bank horizon. Invalidated together with
@@ -309,6 +327,8 @@ class MemoryController {
   std::uint64_t reads_served_ = 0;
   std::uint64_t writes_served_ = 0;
   std::uint64_t reads_dropped_ = 0;
+  std::uint64_t policy_decides_ = 0;
+  std::uint64_t decisions_reused_ = 0;
   Summary read_latency_;
   Histogram read_latency_hist_{4096};
 

@@ -44,11 +44,20 @@ struct Decision {
   /// cycle *provided* the bank's pending set and the policy's delay knobs do
   /// not change (the controller invalidates on either). 0 = no guarantee.
   Cycle none_until = 0;
+  /// For kServe only: the policy guarantees the same answer on every later
+  /// cycle *provided* the bank's pending set, its row state (no command
+  /// issued to it) and the policy's DMS delay and Th_RBL do not change. The
+  /// controller caches such an answer and invalidates it on any of those
+  /// edges. An answer that could flip with time or with state outside the
+  /// bank (a coverage budget, a halt) must not set it.
+  bool stable = false;
 
   static Decision none() { return {}; }
   /// kNone with a stability horizon (see none_until).
   static Decision gated(Cycle until) { return {Action::kNone, kInvalidRequest, until}; }
   static Decision serve(RequestId id) { return {Action::kServe, id}; }
+  /// kServe that holds until the bank's state changes (see stable).
+  static Decision serve_stable(RequestId id) { return {Action::kServe, id, 0, true}; }
   static Decision drop(RequestId id) { return {Action::kDrop, id}; }
 };
 
@@ -81,9 +90,12 @@ class Scheduler {
 
   /// Policy decision for `bank` at memory cycle `now`. Must be free of
   /// observable side effects: the controller may call it more than once per
-  /// cycle per bank (once in the drop pass, once in the command pass) — and,
-  /// symmetrically, may not call it at all for a bank with no pending work,
-  /// so a policy must not rely on decide() running every cycle for every
+  /// cycle per bank (in the drop pass and again in the command pass) — and,
+  /// symmetrically, may skip it: for a bank with no pending work, for a bank
+  /// whose memo (none_until, a retry horizon) still holds, and, under
+  /// open-row policy, for a bank whose last answer was a stable kServe (the
+  /// drop pass skips the bank and the command pass reuses the answer). So a
+  /// policy must not rely on decide() running every cycle for every
   /// bank. A kDrop answer admits the victim's whole row group: the
   /// controller drops the group's remaining members one per cycle without
   /// asking the policy again, until the group empties or gains a

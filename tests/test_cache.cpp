@@ -12,6 +12,7 @@
 #include "cache/cache.hpp"
 #include "cache/mshr.hpp"
 #include "common/config.hpp"
+#include "icnt/crossbar.hpp"
 
 namespace lazydram::cache {
 namespace {
@@ -97,7 +98,7 @@ TEST(Cache, LinesInSetEnumeratesValidLines) {
 }
 
 TEST(Mshr, PrimaryThenMergedMisses) {
-  MshrTable mshr(4, 8);
+  MshrTable<MshrToken> mshr(4, 8);
   EXPECT_TRUE(mshr.allocate(0x1000, 1));   // Primary.
   EXPECT_FALSE(mshr.allocate(0x1000, 2));  // Merge.
   EXPECT_TRUE(mshr.has(0x1000));
@@ -109,7 +110,7 @@ TEST(Mshr, PrimaryThenMergedMisses) {
 }
 
 TEST(Mshr, CapacityLimits) {
-  MshrTable mshr(2, 2);
+  MshrTable<MshrToken> mshr(2, 2);
   mshr.allocate(0x100, 1);
   mshr.allocate(0x200, 2);
   EXPECT_FALSE(mshr.can_allocate(0x300));  // Entries exhausted.
@@ -119,11 +120,13 @@ TEST(Mshr, CapacityLimits) {
 }
 
 
-TEST(Mshr, MatchesReferenceModelUnderChurn) {
-  constexpr std::uint32_t kEntries = 32;
-  constexpr std::uint32_t kMaxMerged = 8;
-  MshrTable mshr(kEntries, kMaxMerged);
-  std::map<Addr, std::vector<MshrToken>> ref;
+/// Drives `mshr` through seeded allocate/release churn against a map of
+/// per-line token vectors. `make_token(n)` builds the token for draw n (few
+/// distinct draws, so the same token repeats); `same` compares two tokens.
+template <typename Token, typename MakeToken, typename Same>
+void churn_against_reference(MshrTable<Token>& mshr, std::uint32_t entries,
+                             std::uint32_t max_merged, MakeToken make_token, Same same) {
+  std::map<Addr, std::vector<Token>> ref;
 
   // Group candidate lines by home bucket, then draw the pool from a few
   // neighbouring buckets, including the last and first so chains wrap. Live
@@ -145,6 +148,7 @@ TEST(Mshr, MatchesReferenceModelUnderChurn) {
   // table fills to its entry cap) and mostly releasing (it drains).
   std::mt19937_64 rng(24);
   unsigned entry_cap_hits = 0, merge_cap_hits = 0, merges = 0, releases = 0;
+  std::size_t longest = 0;
   for (int op = 0; op < 20000; ++op) {
     const std::uint64_t allocate_pct = (op / 1000) % 2 == 0 ? 85 : 35;
     if (ref.empty() || rng() % 100 < allocate_pct) {
@@ -152,22 +156,24 @@ TEST(Mshr, MatchesReferenceModelUnderChurn) {
       const auto it = ref.find(line);
       const bool tracked = it != ref.end();
       ASSERT_EQ(mshr.has(line), tracked) << "op " << op;
-      const bool room = tracked ? it->second.size() < kMaxMerged : ref.size() < kEntries;
+      const bool room = tracked ? it->second.size() < max_merged : ref.size() < entries;
       ASSERT_EQ(mshr.can_allocate(line), room) << "op " << op;
+      ASSERT_EQ(mshr.full(), ref.size() == entries) << "op " << op;
       if (!room) {
         ++(tracked ? merge_cap_hits : entry_cap_hits);
         continue;
       }
-      const MshrToken token = rng() % 6;  // Few values: the same token repeats.
+      const Token token = make_token(rng() % 6);
       ASSERT_EQ(mshr.allocate(line, token), !tracked) << "op " << op;
       ref[line].push_back(token);
+      longest = std::max(longest, ref[line].size());
       merges += tracked;
     } else {
       auto it = ref.begin();
       std::advance(it, static_cast<long>(rng() % ref.size()));
       const auto waiters = mshr.release(it->first);
       ASSERT_TRUE(std::equal(waiters.begin(), waiters.end(), it->second.begin(),
-                             it->second.end()))
+                             it->second.end(), same))
           << "op " << op;
       ref.erase(it);
       ++releases;
@@ -176,9 +182,43 @@ TEST(Mshr, MatchesReferenceModelUnderChurn) {
     for (const Addr line : pool) ASSERT_EQ(mshr.has(line), ref.count(line) != 0) << "op " << op;
   }
   EXPECT_GT(entry_cap_hits, 0u);
-  EXPECT_GT(merge_cap_hits, 0u);
   EXPECT_GT(merges, 0u);
   EXPECT_GT(releases, 1000u);
+  if (max_merged == kUnlimitedMerges) {
+    // Without a cap a hot line keeps merging past any fixed limit.
+    EXPECT_EQ(merge_cap_hits, 0u);
+    EXPECT_GT(longest, 8u);
+  } else {
+    EXPECT_GT(merge_cap_hits, 0u);
+  }
+}
+
+TEST(Mshr, MatchesReferenceModelUnderChurn) {
+  // The L1's table: integer tokens, eight waiters per entry at most.
+  {
+    SCOPED_TRACE("warp-slot tokens, merge cap 8");
+    MshrTable<MshrToken> mshr(32, 8);
+    churn_against_reference(
+        mshr, 32, 8, [](std::uint64_t n) { return MshrToken{n}; },
+        [](MshrToken a, MshrToken b) { return a == b; });
+  }
+  // The L2's table: whole request packets, merged without limit.
+  {
+    SCOPED_TRACE("packet tokens, unlimited merges");
+    MshrTable<icnt::Packet> mshr(32, kUnlimitedMerges);
+    churn_against_reference(
+        mshr, 32, kUnlimitedMerges,
+        [](std::uint64_t n) {
+          icnt::Packet p;
+          p.id = n + 1;
+          p.src_sm = static_cast<SmId>(n * 7 % 15);
+          p.inject_cycle = 100 * n;
+          return p;
+        },
+        [](const icnt::Packet& a, const icnt::Packet& b) {
+          return a.id == b.id && a.src_sm == b.src_sm && a.inject_cycle == b.inject_cycle;
+        });
+  }
 }
 
 }  // namespace

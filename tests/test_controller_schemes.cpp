@@ -13,6 +13,7 @@
 #include "dram/address.hpp"
 #include "mem/controller.hpp"
 #include "telemetry/trace.hpp"
+#include "telemetry/window_sampler.hpp"
 
 namespace lazydram {
 namespace {
@@ -285,6 +286,124 @@ TEST_F(SchemeControllerTest, ClosedRowPolicyPrechargesIdleRows) {
   closed_mc->enqueue(read_at(0, 5, 0), now_);
   drain(*closed_mc, 300);
   EXPECT_FALSE(closed_mc->channel().bank(0).row_open());
+}
+
+// --- The stable-answer cache ----------------------------------------------
+//
+// Each test below brings bank 0 to the same state: its one request was
+// activated at cycle 0, the policy's answer (serve that row hit) is cached,
+// and the CAS waits out tRCD. A tick then asks the policy nothing: the drop
+// pass skips the bank and the command pass is held by its retry memo. One
+// invalidation edge must make the next tick ask the policy again.
+
+/// Serves each bank's oldest row hit, else its oldest request, always as a
+/// stable answer. may_drop() holds, so the drop pass runs every cycle, but
+/// it never drops. Reports the DMS delay and Th_RBL the test sets.
+class StableServePolicy final : public Scheduler {
+ public:
+  Decision decide(const PendingQueue& queue, const BankView& bank, Cycle now) override {
+    (void)now;
+    if (bank.row_open)
+      if (const MemRequest* hit = queue.oldest_for_row(bank.bank, bank.open_row))
+        return Decision::serve_stable(hit->id);
+    const MemRequest* oldest = queue.oldest_for_bank(bank.bank);
+    return oldest == nullptr ? Decision::none() : Decision::serve_stable(oldest->id);
+  }
+  bool may_drop() const override { return true; }
+  void fill_probe(telemetry::WindowProbe& probe) const override {
+    probe.dms_delay = delay;
+    probe.th_rbl = th_rbl;
+  }
+
+  Cycle delay = 0;
+  unsigned th_rbl = 0;
+};
+
+class StableAnswerTest : public SchemeControllerTest {
+ protected:
+  /// A controller running StableServePolicy (kept in policy_), ticked
+  /// through cycles 0-2 with one read on bank 0.
+  std::unique_ptr<MemoryController> make_settled() {
+    auto owned = std::make_unique<StableServePolicy>();
+    policy_ = owned.get();
+    auto mc = std::make_unique<MemoryController>(cfg_, 0, mapper_, std::move(owned));
+    settle(*mc);
+    return mc;
+  }
+
+  /// Enqueues one read on bank 0 and ticks cycles 0-2 (see above).
+  void settle(MemoryController& mc) {
+    EXPECT_GT(cfg_.timing.tRCD, 4u);
+    mc.enqueue(read_at(0, 5, 0, /*approx=*/false), now_);
+    tick(mc);  // Drop pass asks the policy; the command pass reuses it: ACT.
+    EXPECT_EQ(mc.channel().activations(), 1u);
+    EXPECT_EQ(mc.decisions_reused(), 1u);
+    tick(mc);  // The ACT dropped the answer: asked again; the CAS waits.
+    EXPECT_EQ(tick(mc), 0u) << "a settled bank must not reach the policy";
+  }
+
+  /// Ticks one cycle; returns the policy calls it made.
+  std::uint64_t tick(MemoryController& mc) {
+    const std::uint64_t before = mc.policy_decides();
+    mc.tick(now_++);
+    return mc.policy_decides() - before;
+  }
+
+  StableServePolicy* policy_ = nullptr;
+};
+
+TEST_F(StableAnswerTest, EnqueueToTheBankDropsItsAnswer) {
+  auto mc = make_settled();
+  mc->enqueue(read_at(3, 2, 0), now_);  // Another bank: bank 0 stays cached.
+  EXPECT_EQ(tick(*mc), 1u);             // Only bank 3 is asked.
+  EXPECT_EQ(tick(*mc), 0u);
+  mc->enqueue(read_at(0, 5, 1), now_);
+  EXPECT_EQ(tick(*mc), 1u);
+}
+
+TEST_F(StableAnswerTest, CommandToTheBankDropsItsAnswer) {
+  auto mc = make_settled();
+  // The CAS issues once tRCD has passed; the answer goes with it, and the
+  // now empty bank has nothing left to ask about.
+  while (mc->channel().energy().read_accesses() == 0) EXPECT_EQ(tick(*mc), 0u);
+  EXPECT_EQ(mc->queue().size(), 0u);
+  // settle() itself covers the ACT: the tick after it asked the policy.
+  mc->enqueue(read_at(0, 9, 0), now_);  // A row miss on the open bank.
+  EXPECT_EQ(tick(*mc), 1u);             // Asked and cached.
+  while (mc->channel().bank(0).row_open()) EXPECT_EQ(tick(*mc), 0u);
+  EXPECT_EQ(tick(*mc), 1u);  // The PRE dropped the answer.
+}
+
+TEST_F(StableAnswerTest, DmsDelayChangeDropsEveryAnswer) {
+  auto mc = make_settled();
+  policy_->delay = 64;
+  EXPECT_EQ(tick(*mc), 1u);
+  EXPECT_EQ(tick(*mc), 0u);
+}
+
+TEST_F(StableAnswerTest, ThRblChangeDropsEveryAnswer) {
+  auto mc = make_settled();
+  policy_->th_rbl = 3;
+  EXPECT_EQ(tick(*mc), 1u);
+  EXPECT_EQ(tick(*mc), 0u);
+}
+
+TEST_F(StableAnswerTest, DropAndDrainReachThePolicyAgain) {
+  // A bank that drops holds no cached answer: the drain runs without the
+  // policy, and the pass after the group empties asks the policy again.
+  auto mc = make(core::make_scheme_spec(core::SchemeKind::kStaticAms, cfg_.scheme));
+  mc->enqueue(read_at(0, 7, 0), now_);
+  mc->enqueue(read_at(0, 7, 1), now_);
+  mc->enqueue(read_at(0, 9, 0, /*approx=*/false), now_);
+  // The drop pass asks the policy and drops; the command pass meets the
+  // drain, which gates the bank without asking.
+  EXPECT_EQ(tick(*mc), 1u);
+  EXPECT_EQ(mc->reads_dropped(), 1u);
+  // The drain drops the second read without asking; the command pass
+  // retires it and asks about row 9, whose ACT issues.
+  EXPECT_EQ(tick(*mc), 1u);
+  EXPECT_EQ(mc->reads_dropped(), 2u);
+  EXPECT_EQ(mc->channel().activations(), 1u);
 }
 
 TEST_F(SchemeControllerTest, ReadLatencyAccountedFromEnqueueToData) {

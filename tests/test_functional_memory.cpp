@@ -49,9 +49,9 @@ TEST(MemoryImage, UnwrittenBytesReadZero) {
 TEST(MemoryImage, ReadBackWritten) {
   MemoryImage img;
   img.write_f32(0x1000, 3.25f);
-  img.write_u32(0x2000, 0xdeadbeef);
+  img.write_f32(0x2000, -1.5e-7f);
   EXPECT_FLOAT_EQ(img.read_f32(0x1000), 3.25f);
-  EXPECT_EQ(img.read_u32(0x2000), 0xdeadbeefu);
+  EXPECT_FLOAT_EQ(img.read_f32(0x2000), -1.5e-7f);
 }
 
 TEST(MemoryImage, CrossPageAccess) {
@@ -102,9 +102,10 @@ TEST(MemoryImage, AbsorbMovesPagesAsWholePageOverwrites) {
   // Phase b partially rewrites a page phase a filled: the moved page
   // replaces a's page whole, zeros included, exactly like a page blit.
   MemoryImage a, b;
-  for (Addr off = 0; off < 2 * kPageBytes; off += 4) a.write_u32(off, 0xa0000000u + off);
-  b.write_u32(kPageBytes + 8, 0xbbbbbbbbu);
-  b.write_u32(5 * kPageBytes, 0xb5u);
+  for (Addr off = 0; off < 2 * kPageBytes; off += 4)
+    a.write_f32(off, 1.0f + static_cast<float>(off));
+  b.write_f32(kPageBytes + 8, 7.5f);
+  b.write_f32(5 * kPageBytes, 9.0f);
   const Addr bias = Addr{1} << 30;
 
   MemoryImage expected;
@@ -117,8 +118,8 @@ TEST(MemoryImage, AbsorbMovesPagesAsWholePageOverwrites) {
   target.absorb(std::move(b_copy), bias);
   EXPECT_EQ(b_copy.pages(), 0u);
   EXPECT_TRUE(same_pages(target, expected));
-  EXPECT_EQ(target.read_u32(bias + kPageBytes + 12), 0u);  // Overwritten whole.
-  EXPECT_EQ(target.read_u32(bias + 4), 0xa0000004u);       // Untouched page kept.
+  EXPECT_FLOAT_EQ(target.read_f32(bias + kPageBytes + 12), 0.0f);  // Overwritten whole.
+  EXPECT_FLOAT_EQ(target.read_f32(bias + 4), 5.0f);                 // Untouched page kept.
 }
 
 TEST(MemoryImage, MixInitMatchesPageBlitOnOverlappingPhases) {
@@ -242,9 +243,9 @@ TEST(MemView, ImageOutlivesTheOverlayItsViewRead) {
     const MemView view(img, &overlay);
     EXPECT_FLOAT_EQ(view.read_f32(0x1000), 0.0f);
   }
-  for (Addr page = 0; page < 64; ++page) img.write_u32(page * kPageBytes + 8, 3);
+  for (Addr page = 0; page < 64; ++page) img.write_f32(page * kPageBytes + 8, 3.0f);
   EXPECT_FLOAT_EQ(img.read_f32(0x1000), 1.0f);
-  EXPECT_EQ(img.read_u32(0x2008), 3u);
+  EXPECT_FLOAT_EQ(img.read_f32(0x2008), 3.0f);
   const MemView exact(img, nullptr);
   EXPECT_FLOAT_EQ(exact.read_f32(0x1000), 1.0f);
 }
@@ -254,13 +255,14 @@ TEST(MemView, PagesInOneCacheSlotStayDistinct) {
   // return its own page's value.
   MemoryImage base;
   constexpr unsigned kArrays = 64;
-  for (unsigned i = 0; i < kArrays; ++i) base.write_u32(static_cast<Addr>(i) << 20, i + 1);
+  for (unsigned i = 0; i < kArrays; ++i)
+    base.write_f32(static_cast<Addr>(i) << 20, static_cast<float>(i + 1));
   MemoryImage child = MemoryImage::copy_on_write(base);
   MemView view(child, nullptr);
   for (unsigned round = 0; round < 2; ++round)
     for (unsigned i = 0; i < kArrays; ++i) {
-      EXPECT_EQ(view.read_u32(static_cast<Addr>(i) << 20), i + 1);
-      if (round == 0 && i % 3 == 0) view.write_u32((static_cast<Addr>(i) << 20) + 4, 0);
+      EXPECT_EQ(view.read_f32(static_cast<Addr>(i) << 20), static_cast<float>(i + 1));
+      if (round == 0 && i % 3 == 0) view.write_f32((static_cast<Addr>(i) << 20) + 4, 0.0f);
     }
 }
 

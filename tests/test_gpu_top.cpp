@@ -245,17 +245,29 @@ TEST(GpuTop, PinnedIssueAndStallCountsOnMini) {
 TEST(GpuTop, PinnedWorkCountsOnMini) {
   // Deterministic work counts of step(), pinned like the stall counts above
   // on the same configurations: a change that skips or adds per-cycle work
-  // shows here as an exact diff, with no timing noise.
+  // shows here as an exact diff, with no timing noise. Before the
+  // controller cached stable answers, every decision reached the policy:
+  // policy_decides was 182156, 200159, 169537 and 179972 on the four rows.
+  // Under Baseline, which has no drop pass, the new split sums to the old
+  // count exactly; under Dyn-DMS+AMS the rest are drop-pass visits skipped.
   struct Pin {
     std::uint32_t mshr_entries;
     core::SchemeKind kind;
     std::vector<std::uint64_t> counts;  ///< In WorkCounts field order.
   };
   const Pin pins[] = {
-      {64, core::SchemeKind::kBaseline, {992985, 286665, 110267, 58795, 7324, 25855, 28791}},
-      {64, core::SchemeKind::kDynCombo, {1040369, 95101, 100637, 49627, 5663, 15976, 28791}},
-      {12, core::SchemeKind::kBaseline, {1097569, 165461, 110643, 56229, 3673, 15441, 28791}},
-      {12, core::SchemeKind::kDynCombo, {1241323, 36707, 106503, 62307, 1445, 5518, 28791}},
+      {64,
+       core::SchemeKind::kBaseline,
+       {992985, 286665, 110267, 58795, 7324, 25855, 28791, 65081, 117075}},
+      {64,
+       core::SchemeKind::kDynCombo,
+       {1040369, 95101, 100637, 49627, 5663, 15976, 28791, 94401, 95639}},
+      {12,
+       core::SchemeKind::kBaseline,
+       {1097569, 165461, 110643, 56229, 3673, 15441, 28791, 65707, 103830}},
+      {12,
+       core::SchemeKind::kDynCombo,
+       {1241323, 36707, 106503, 62307, 1445, 5518, 28791, 99754, 73288}},
   };
   MiniWorkload wl;
   for (const Pin& pin : pins) {
@@ -269,7 +281,8 @@ TEST(GpuTop, PinnedWorkCountsOnMini) {
     const gpu::GpuTop::WorkCounts& w = top.work_counts();
     const std::vector<std::uint64_t> counts = {
         w.sm_ticks,        w.sm_ticks_slept,          w.mc_ticks,       w.mc_ticks_skipped,
-        w.backlog_retries, w.backlog_retries_skipped, w.request_packets};
+        w.backlog_retries, w.backlog_retries_skipped, w.request_packets,
+        w.policy_decides,  w.decisions_reused};
     EXPECT_EQ(counts, pin.counts);
   }
 }

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/recorder.hpp"
@@ -46,15 +47,18 @@ namespace {
 
 // gtest prints a parameter without a PrintTo overload as a dump of its raw
 // bytes, and that dump is part of the test name ctest lists. The struct
-// therefore leads with fixed bytes: were a std::string first, the name would
-// start with a heap address and change whenever the heap layout at test
-// registration does.
+// therefore holds no pointer, only fixed bytes: with a std::string member the
+// dump carried heap addresses and the name changed from build to build. The
+// text fields are inline arrays sized so the struct keeps its 72 bytes, and
+// the leading tag keeps the dump's first bytes, so the listed names keep
+// the prefix they had.
 struct PolicyCase {
   std::uint32_t tag = 0;    ///< Fixed leading bytes of the byte dump.
   core::SchemeKind scheme = core::SchemeKind::kBaseline;  ///< For lazy only.
-  std::string name;         ///< Test label.
-  std::string spec_text;    ///< parse_policy_spec input ("" = lazy).
+  char name[20] = {};       ///< Test label.
+  char spec_text[44] = {};  ///< parse_policy_spec input ("" = lazy).
 };
+static_assert(sizeof(PolicyCase) == 72);
 
 std::vector<PolicyCase> conformance_cases() {
   using core::SchemeKind;
@@ -77,7 +81,7 @@ std::vector<PolicyCase> conformance_cases() {
 }
 
 std::unique_ptr<Scheduler> build(const PolicyCase& pc, const GpuConfig& cfg) {
-  const core::SchemeSpec spec = pc.spec_text.empty()
+  const core::SchemeSpec spec = pc.spec_text[0] == '\0'
                                     ? core::make_scheme_spec(pc.scheme, cfg.scheme)
                                     : core::SchemeSpec{};
   std::unique_ptr<Scheduler> s = core::make_scheduler(cfg, spec);
@@ -88,7 +92,8 @@ std::unique_ptr<Scheduler> build(const PolicyCase& pc, const GpuConfig& cfg) {
 }
 
 bool same_decision(const Decision& a, const Decision& b) {
-  return a.action == b.action && a.req_id == b.req_id && a.none_until == b.none_until;
+  return a.action == b.action && a.req_id == b.req_id && a.none_until == b.none_until &&
+         a.stable == b.stable;
 }
 
 /// Drives the primary instance (decide() once per visited bank-cycle) and a
@@ -96,7 +101,7 @@ bool same_decision(const Decision& a, const Decision& b) {
 /// of the primary's applied decision log for the determinism check.
 std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
   GpuConfig cfg;
-  if (!pc.spec_text.empty()) {
+  if (pc.spec_text[0] != '\0') {
     std::string err;
     EXPECT_TRUE(core::parse_policy_spec(pc.spec_text, cfg, &err)) << err;
   }
@@ -208,6 +213,14 @@ std::uint64_t run_stream(const PolicyCase& pc, std::uint64_t seed) {
           EXPECT_NE(found, nullptr) << pc.name << ": served unknown id " << d.req_id;
           if (found == nullptr) return log_hash;
           EXPECT_EQ(found->loc.bank, b) << pc.name;
+          if (d.stable) {
+            // A stable serve may not depend on time: with the bank's state
+            // unchanged, the mirror must give it again far in the future.
+            const Decision later = mirror->decide(queue, banks[b], now + 100'000);
+            EXPECT_TRUE(same_decision(d, later))
+                << pc.name << ": stable serve on bank " << static_cast<int>(b)
+                << " at cycle " << now << " did not hold";
+          }
           const bool hit = banks[b].row_open && banks[b].open_row == found->loc.row;
           busy_until[b] = now + (hit ? 4 : 24);  // CAS vs PRE+ACT+CAS, roughly.
           banks[b].row_open = true;
@@ -391,7 +404,7 @@ class ControllerIdleSkip : public ::testing::TestWithParam<PolicyCase> {};
 TEST_P(ControllerIdleSkip, AdvanceMatchesTickingEveryCycle) {
   const PolicyCase& pc = GetParam();
   GpuConfig cfg;
-  if (!pc.spec_text.empty()) {
+  if (pc.spec_text[0] != '\0') {
     std::string err;
     ASSERT_TRUE(core::parse_policy_spec(pc.spec_text, cfg, &err)) << err;
   }
@@ -460,13 +473,13 @@ TEST_P(ControllerIdleSkip, AdvanceMatchesTickingEveryCycle) {
   };
   const PinnedTicks* pin = nullptr;
   for (const PinnedTicks& p : kPinned)
-    if (pc.name == p.name) pin = &p;
+    if (std::string_view(pc.name) == p.name) pin = &p;
   ASSERT_NE(pin, nullptr) << pc.name << ": no pinned tick counts";
   EXPECT_LT(step_ticked, kEndCycle / 2) << pc.name;
   EXPECT_EQ(step_ticked, pin->step) << pc.name;
   EXPECT_EQ(span_ticked, pin->span) << pc.name;
-  expect_same_run(ref, step, pc.name + ": one cycle at a time");
-  expect_same_run(ref, span, pc.name + ": arrival to arrival");
+  expect_same_run(ref, step, std::string(pc.name) + ": one cycle at a time");
+  expect_same_run(ref, span, std::string(pc.name) + ": arrival to arrival");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ControllerIdleSkip,

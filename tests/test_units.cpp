@@ -176,7 +176,7 @@ TEST(AmsUnit, CumulativeCoverage) {
 TEST(AmsUnit, DropsAtExactThRblBoundary) {
   // Boundary audit: the paper drops rows with a low access count, i.e. RBL
   // <= Th_RBL — a group of exactly Th_RBL pending reads still qualifies, one
-  // more does not. Pins the strict `>` refusal in AmsUnit::should_drop.
+  // more does not. Pins the strict `>` refusal in AmsUnit::admits_row.
   const SchemeParams p = params();
   const unsigned th = 4;
   AmsUnit ams(p, /*dynamic=*/false, th);
@@ -201,10 +201,11 @@ TEST(AmsUnit, DropsAtExactThRblBoundary) {
     push_read(id, static_cast<std::uint32_t>(id - 1));
   const MemRequest* cand = queue.oldest_for_bank(1);
   ASSERT_NE(cand, nullptr);
-  EXPECT_TRUE(ams.should_drop(queue, *cand));  // RBL == Th_RBL: drops.
+  EXPECT_TRUE(ams.has_budget(cand->tenant));
+  EXPECT_TRUE(ams.admits_row(queue, *cand));  // RBL == Th_RBL: drops.
 
   push_read(th + 1, th);  // RBL == Th_RBL + 1: too hot to drop.
-  EXPECT_FALSE(ams.should_drop(queue, *queue.oldest_for_bank(1)));
+  EXPECT_FALSE(ams.admits_row(queue, *queue.oldest_for_bank(1)));
 }
 
 TEST(AmsUnit, HaltedWhileDmsSamples) {
