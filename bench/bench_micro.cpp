@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the performance-critical simulator
 // components: the DRAM command engine, FR-FCFS/lazy scheduling decisions,
-// the VP unit's nearest-line search, the L1 MSHR table, and the functional
-// layer's two per-run costs: one approximate SCP error pass and a
-// `fill_smooth` input initialization.
+// the VP unit's nearest-line search, L1/L2 tag lookups, the L1 MSHR table,
+// and the functional layer's two per-run costs: one approximate SCP error
+// pass and a `fill_smooth` input initialization.
 //
 // `bench_micro --perf` instead runs the overhead A/B: one end-to-end SCP run
 // with self-observability off, on, and with lifecycle tracing, and exits
@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/mshr.hpp"
@@ -140,6 +141,64 @@ void BM_MshrAllocateMergeRelease(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 5);
 }
 BENCHMARK(BM_MshrAllocateMergeRelease);
+
+// Tag lookups as the SM and the L2 slice make them, on a Table I 4-way L1
+// and 8-way L2 warmed full. Each iteration, in each cache: a hit probe of
+// the line filled one iteration earlier, a miss probe, and one fill of a
+// fresh line into a random set, which evicts that set's LRU way. The L2 side
+// takes GpuTop's path: one probe, then the access and the approximate tag at
+// the slot. Random draws are made before timing, so the loop times lookups.
+void BM_CacheProbe(benchmark::State& state) {
+  const GpuConfig cfg;
+  cache::Cache l1(cfg.l1);
+  cache::Cache l2(cfg.l2);
+  // Line k of set s is (k * sets + s) * kLineBytes: fills count k up from
+  // 0, and misses probe k from 2^24 on, which is never filled.
+  const auto line_of = [](const cache::Cache& c, Addr k, std::uint32_t set) {
+    return (k * c.num_sets() + set) * kLineBytes;
+  };
+  Addr next_k = 0;
+  for (; next_k < cfg.l2.ways; ++next_k)
+    for (std::uint32_t set = 0; set < l2.num_sets(); ++set) {
+      l2.fill(line_of(l2, next_k, set), false, set % 4 == 0);
+      if (next_k < cfg.l1.ways && set < l1.num_sets())
+        l1.fill(line_of(l1, next_k, set), false, false);
+    }
+  struct Draw {
+    Addr miss_k;
+    std::uint32_t l1_miss_set, l1_fill_set, l2_miss_set, l2_fill_set;
+    bool approximate;
+  };
+  std::vector<Draw> draws(4096);
+  Rng rng(5);
+  for (Draw& d : draws)
+    d = {(Addr{1} << 24) + rng.next_below(1u << 20),
+         static_cast<std::uint32_t>(rng.next_below(l1.num_sets())),
+         static_cast<std::uint32_t>(rng.next_below(l1.num_sets())),
+         static_cast<std::uint32_t>(rng.next_below(l2.num_sets())),
+         static_cast<std::uint32_t>(rng.next_below(l2.num_sets())), rng.next_below(4) == 0};
+
+  Addr l1_last = line_of(l1, 0, 0);
+  Addr l2_last = line_of(l2, 0, 0);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Draw& d = draws[i++ % draws.size()];
+    benchmark::DoNotOptimize(l1.access(l1_last, /*is_write=*/false).hit);
+    benchmark::DoNotOptimize(l1.access(line_of(l1, d.miss_k, d.l1_miss_set), false).hit);
+    l1_last = line_of(l1, next_k, d.l1_fill_set);
+    benchmark::DoNotOptimize(l1.fill(l1_last, false, false).writeback);
+
+    const cache::Cache::Slot slot = l2.probe(l2_last);
+    benchmark::DoNotOptimize(l2.access_at(slot, /*is_write=*/false));
+    benchmark::DoNotOptimize(l2.approximate_at(slot));
+    benchmark::DoNotOptimize(l2.access_at(l2.probe(line_of(l2, d.miss_k, d.l2_miss_set)), false));
+    l2_last = line_of(l2, next_k, d.l2_fill_set);
+    benchmark::DoNotOptimize(l2.fill(l2_last, false, d.approximate).writeback);
+    ++next_k;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 6);
+}
+BENCHMARK(BM_CacheProbe);
 
 // One SCP compute_output through an approximate view, as collect_metrics
 // runs it: on a fresh copy-on-write child of SCP's initialized image, over

@@ -5,11 +5,20 @@
 // lines track {address, valid, dirty, approximate} but carry no bytes. The
 // `approximate` flag marks lines filled by the VP unit rather than by DRAM.
 // The L2's tag arrays double as the VP unit's search structure, which is why
-// the cache exposes set geometry and per-set line enumeration ("we take
-// advantage of the existing associative search hardware", Section IV-D).
+// the cache exposes set geometry and per-set tags ("we take advantage of the
+// existing associative search hardware", Section IV-D).
+//
+// Storage is struct-of-arrays, sets x ways row-major by set: a tag array in
+// which an invalid way holds kNoLine, an array of LRU stamps (0 on an
+// invalid way, so the victim is simply the first lowest stamp), and a flag
+// byte per way (dirty, approximate): 17 bytes per line. A lookup walks only
+// the set's tags. probe() returns the line's slot, so a caller that needs
+// several answers about one line (hit, count, approximate tag) looks it up
+// once and reads the rest at the slot.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/config.hpp"
@@ -27,23 +36,59 @@ struct AccessResult {
 
 class Cache {
  public:
+  /// Index of one way in the tag arrays; kNoSlot when a line is not cached.
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = ~Slot{0};
+  /// Tag of an invalid way. Never a line address: those are 128B-aligned.
+  static constexpr Addr kNoLine = ~Addr{0};
+
   explicit Cache(const CacheGeometry& geo);
 
-  /// Looks up `line_addr` (must be 128B-aligned). On hit, updates LRU and,
-  /// if `is_write`, marks the line dirty. Misses do NOT allocate — call
-  /// fill() when the refill arrives (or immediately for 0-latency models).
+  /// Slot holding `line_addr`, or kNoSlot. Counts nothing and leaves LRU
+  /// alone: a stalled request may probe as often as it retries.
+  Slot probe(Addr line_addr) const {
+    const std::size_t base = set_base(line_addr);
+    for (std::size_t s = base; s < base + ways_; ++s)
+      if (tags_[s] == line_addr) return static_cast<Slot>(s);
+    return kNoSlot;
+  }
+
+  /// Counts one access of a line that probe() found at `slot` (kNoSlot
+  /// counts a miss) and returns whether it hit. A hit updates LRU and, if
+  /// `is_write`, marks the line dirty. Valid until the next fill() or
+  /// invalidate().
+  bool access_at(Slot slot, bool is_write) {
+    if (slot == kNoSlot) {
+      ++misses_;
+      return false;
+    }
+    last_use_[slot] = ++use_clock_;
+    if (is_write) flags_[slot] |= kDirty;
+    ++hits_;
+    return true;
+  }
+  /// True iff the line at `slot` was filled by the VP unit.
+  bool approximate_at(Slot slot) const { return (flags_[slot] & kApproximate) != 0; }
+
+  /// Looks up `line_addr` (must be 128B-aligned) and counts the access as
+  /// access_at() does. Misses do NOT allocate — call fill() when the refill
+  /// arrives (or immediately for 0-latency models).
   AccessResult access(Addr line_addr, bool is_write);
 
-  /// Allocates `line_addr`, evicting the set's LRU victim if needed.
-  /// `dirty` marks the new line dirty at once (write-allocate stores);
-  /// `approximate` tags VP-synthesized fills.
+  /// Allocates `line_addr`, evicting the set's victim if needed: the first
+  /// invalid way, else the first least-recently-used one. `dirty` marks the
+  /// new line dirty at once (write-allocate stores); `approximate` tags
+  /// VP-synthesized fills.
   AccessResult fill(Addr line_addr, bool dirty, bool approximate);
 
   /// Invalidates `line_addr` if present; returns true if it was dirty.
   bool invalidate(Addr line_addr);
 
-  bool contains(Addr line_addr) const;
-  bool line_is_approx(Addr line_addr) const;
+  bool contains(Addr line_addr) const { return probe(line_addr) != kNoSlot; }
+  bool line_is_approx(Addr line_addr) const {
+    const Slot slot = probe(line_addr);
+    return slot != kNoSlot && approximate_at(slot);
+  }
 
   // --- Geometry / VP-unit support ---
   std::uint32_t num_sets() const { return sets_; }
@@ -51,7 +96,11 @@ class Cache {
   std::uint32_t set_index(Addr line_addr) const {
     return static_cast<std::uint32_t>((line_addr / kLineBytes) & (sets_ - 1));
   }
-  /// Appends the addresses of all valid lines in `set` to `out`.
+  /// The tags of `set`, one per way; an invalid way holds kNoLine.
+  std::span<const Addr> set_tags(std::uint32_t set) const {
+    return {tags_.data() + static_cast<std::size_t>(set) * ways_, ways_};
+  }
+  /// Appends the addresses of all valid lines in `set` to `out`, in way order.
   void lines_in_set(std::uint32_t set, std::vector<Addr>& out) const;
 
   // --- Statistics ---
@@ -64,20 +113,20 @@ class Cache {
   }
 
  private:
-  struct Line {
-    Addr addr = 0;
-    bool valid = false;
-    bool dirty = false;
-    bool approximate = false;
-    std::uint64_t last_use = 0;
-  };
+  static constexpr std::uint8_t kDirty = 1;
+  static constexpr std::uint8_t kApproximate = 2;
 
-  Line* find(Addr line_addr);
-  const Line* find(Addr line_addr) const;
+  std::size_t set_base(Addr line_addr) const {
+    return static_cast<std::size_t>(set_index(line_addr)) * ways_;
+  }
 
   std::uint32_t sets_;
   std::uint32_t ways_;
-  std::vector<Line> lines_;  ///< sets_ x ways_, row-major by set.
+  std::vector<Addr> tags_;                ///< kNoLine = invalid way.
+  /// LRU stamps: use_clock_ values, at least 1 on a valid way, 0 on an
+  /// invalid one.
+  std::vector<std::uint64_t> last_use_;
+  std::vector<std::uint8_t> flags_;       ///< kDirty | kApproximate.
   std::uint64_t use_clock_ = 0;
 
   std::uint64_t hits_ = 0;

@@ -22,26 +22,24 @@ ValuePredictor::Prediction ValuePredictor::predict(Addr line_addr) {
   const std::uint32_t home = l2_.set_index(line_addr);
   const std::uint32_t sets = l2_.num_sets();
 
-  scratch_.clear();
+  bool found = false;
+  Addr best = 0;
+  std::uint64_t best_dist = ~std::uint64_t{0};
   for (int d = -static_cast<int>(set_radius_); d <= static_cast<int>(set_radius_); ++d) {
     // Set indices wrap: with power-of-two sets, the neighbouring-set walk is
     // a ring (matches an index decrement/increment in hardware).
     const std::uint32_t set =
         static_cast<std::uint32_t>((static_cast<int>(home) + d + static_cast<int>(sets))) %
         sets;
-    l2_.lines_in_set(set, scratch_);
-  }
-
-  bool found = false;
-  Addr best = 0;
-  std::uint64_t best_dist = ~std::uint64_t{0};
-  for (const Addr a : scratch_) {
-    if (a == line_addr) continue;  // The dropped line itself is not cached.
-    const std::uint64_t dist = a > line_addr ? a - line_addr : line_addr - a;
-    if (!found || dist < best_dist || (dist == best_dist && a < best)) {
-      found = true;
-      best = a;
-      best_dist = dist;
+    for (const Addr a : l2_.set_tags(set)) {
+      // Invalid ways hold kNoLine; the dropped line itself is not cached.
+      if (a == cache::Cache::kNoLine || a == line_addr) continue;
+      const std::uint64_t dist = a > line_addr ? a - line_addr : line_addr - a;
+      if (!found || dist < best_dist || (dist == best_dist && a < best)) {
+        found = true;
+        best = a;
+        best_dist = dist;
+      }
     }
   }
 

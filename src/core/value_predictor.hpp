@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "cache/cache.hpp"
 #include "common/types.hpp"
@@ -56,7 +55,6 @@ class ValuePredictor {
   unsigned set_radius_;
   PredictorKind kind_;
 
-  std::vector<Addr> scratch_;
   std::uint64_t predictions_ = 0;
   std::uint64_t zero_fills_ = 0;
 };

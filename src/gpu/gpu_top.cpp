@@ -185,10 +185,12 @@ GpuTop::BacklogKey GpuTop::backlog_key(const Partition& p) {
 }
 
 void GpuTop::handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& stalled) {
-  // A stalled attempt only probes (contains()) and counts nothing; the L2
-  // counts one access() per packet, on the attempt that serves it.
+  // The line is looked up once. A stalled attempt only probes and counts
+  // nothing; the L2 counts one access per packet, on the attempt that
+  // serves it.
   stalled = false;
-  const bool hit = p.l2.contains(pkt.line_addr);
+  const cache::Cache::Slot slot = p.l2.probe(pkt.line_addr);
+  const bool hit = slot != cache::Cache::kNoSlot;
 
   if (pkt.kind == AccessKind::kWrite) {
     // Write-back for hits; write-no-allocate for misses (the store stream
@@ -198,8 +200,7 @@ void GpuTop::handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& 
       stalled = true;
       return;
     }
-    p.l2.access(pkt.line_addr, /*is_write=*/true);
-    if (hit) return;
+    if (p.l2.access_at(slot, /*is_write=*/true)) return;
     MemRequest req;
     req.id = next_request_id_++;
     req.line_addr = pkt.line_addr;
@@ -215,10 +216,9 @@ void GpuTop::handle_request_packet(Partition& p, const icnt::Packet& pkt, bool& 
     stalled = true;
     return;
   }
-  p.l2.access(pkt.line_addr, /*is_write=*/false);
-  if (hit) {
+  if (p.l2.access_at(slot, /*is_write=*/false)) {
     icnt::Packet reply = pkt;
-    reply.approximate = p.l2.line_is_approx(pkt.line_addr);
+    reply.approximate = p.l2.approximate_at(slot);
     p.pending_replies.push_back(
         PendingReply{core_cycle_ + cfg_.l2_hit_latency, reply});
     return;

@@ -23,6 +23,7 @@ void Sm::assign_warp(unsigned global_warp_id) {
   w.tenant = workload_.tenant_of_warp(global_warp_id);
   LD_ASSERT_MSG(w.tenant < tenant_instructions_.size(), "warp tenant out of range");
   warps_.push_back(std::move(w));
+  mid_mem_op_.push_back(0);
   in_active_.push_back(1);
   active_.push_back(static_cast<unsigned>(warps_.size() - 1));
 }
@@ -147,6 +148,7 @@ Sm::IssueResult Sm::try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_
     if (decode_.kind != WarpOp::Kind::kCompute) {
       coalesce(decode_, w.lines);
       LD_ASSERT_MSG(!w.lines.empty(), "memory op with no addresses");
+      mid_mem_op_[warp_idx] = 1;
     }
   }
 
@@ -173,6 +175,7 @@ Sm::IssueResult Sm::try_issue(unsigned warp_idx, Cycle now, icnt::Crossbar& req_
   ++mem_epoch_;  // An MSHR allocation, L1 hit or store update: verdicts may change.
   ++w.lines_issued;
   if (w.lines_issued == w.lines.size()) {
+    mid_mem_op_[warp_idx] = 0;
     ++w.instructions;
     ++instructions_;
     ++tenant_instructions_[w.tenant];
@@ -219,7 +222,7 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
     const unsigned owner = static_cast<unsigned>(lsu_owner_);
     const IssueResult result = try_issue(owner, now, req_xbar, mem_blocked);
     if (result == IssueResult::kIssued) {
-      if (!warps_[owner].has_op) lsu_owner_ = -1;
+      if (!mid_mem_op_[owner]) lsu_owner_ = -1;
     } else {
       park_if_repeating(now, stalls_before);
     }
@@ -230,18 +233,16 @@ void Sm::tick(Cycle now, icnt::Crossbar& req_xbar) {
   // known wake event are removed (swap-remove keeps the scan O(active)).
   for (std::size_t j = 0; j < active_.size();) {
     const unsigned warp_idx = active_[j];
-    const Warp& w = warps_[warp_idx];
-    // Once the LSU path is blocked this cycle, a warp mid memory op (decoded,
-    // not busy, not done) can only poll: try_issue would return kPollBlocked
-    // and change no state.
-    if (mem_blocked && w.has_op && w.kind != WarpOp::Kind::kCompute && !w.done &&
-        w.busy_until <= now) {
+    // Once the LSU path is blocked this cycle, a warp mid memory op can only
+    // poll: try_issue would return kPollBlocked and change no state. The
+    // byte answers that without touching the Warp.
+    if (mem_blocked && mid_mem_op_[warp_idx]) {
       ++j;
       continue;
     }
     const IssueResult result = try_issue(warp_idx, now, req_xbar, mem_blocked);
     if (result == IssueResult::kIssued) {
-      if (w.has_op && w.kind != WarpOp::Kind::kCompute) {
+      if (mid_mem_op_[warp_idx]) {
         lsu_owner_ = static_cast<int>(warp_idx);  // Mid-op: hold the LSU.
       } else {
         // Completed op: loose round-robin sends the warp to the back.

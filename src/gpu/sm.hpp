@@ -149,6 +149,10 @@ class Sm {
   /// header into the Warp and coalesces the lanes into Warp::lines.
   WarpOp decode_;
   std::vector<Warp> warps_;
+  /// One byte per warp, set while the warp is mid memory op: from the decode
+  /// of a kLoad/kStore until its last line issues. Such a warp is not done
+  /// and not busy, so a blocked cycle's scan can skip it on this byte alone.
+  std::vector<std::uint8_t> mid_mem_op_;
   std::size_t done_warps_ = 0;
 
   std::vector<unsigned> active_;    ///< Warp indices eligible for issue scan.

@@ -66,6 +66,15 @@ MixWorkload::MixWorkload(std::vector<MixTenant> tenants, std::uint64_t seed)
     ts.warps = ts.spec.warps == 0 ? max_inner_warps : ts.spec.warps;
     LD_ASSERT_MSG(ts.warps > 0, "tenant resolved to zero warps");
     total_warps_ += ts.warps;
+    // Per-warp tables, so op_at finds a warp's tenant and iteration length
+    // without walking the tenants or their phases.
+    for (unsigned local = 0; local < ts.warps; ++local) {
+      unsigned len = ts.iter_ops_base;
+      for (const std::vector<unsigned>& lens : ts.phase_len)
+        if (local < lens.size()) len += lens[local];
+      warp_tenant_.push_back(static_cast<TenantId>(i));
+      warp_iter_len_.push_back(len);
+    }
     tenants_.push_back(std::move(ts));
   }
 }
@@ -85,9 +94,7 @@ std::string MixWorkload::description() const {
 
 TenantId MixWorkload::tenant_of_warp(unsigned warp) const {
   LD_ASSERT(warp < total_warps_);
-  for (std::size_t i = tenants_.size(); i-- > 0;)
-    if (warp >= tenants_[i].warp_base) return static_cast<TenantId>(i);
-  return 0;
+  return warp_tenant_[warp];
 }
 
 TenantId MixWorkload::tenant_of_addr(Addr addr) const {
@@ -110,19 +117,13 @@ std::uint16_t MixWorkload::think_cycles(TenantId t, unsigned warp, unsigned iter
   return static_cast<std::uint16_t>(gap);
 }
 
-unsigned MixWorkload::iter_len(const TenantState& ts, unsigned local) const {
-  unsigned len = ts.iter_ops_base;
-  for (const std::vector<unsigned>& lens : ts.phase_len)
-    if (local < lens.size()) len += lens[local];
-  return len;
-}
-
 bool MixWorkload::op_at(unsigned warp, unsigned step, gpu::WarpOp& op) const {
-  const TenantId t = tenant_of_warp(warp);
+  LD_ASSERT(warp < total_warps_);
+  const TenantId t = warp_tenant_[warp];
   const TenantState& ts = tenants_[t];
   const unsigned local = warp - ts.warp_base;
 
-  const unsigned per_iter = iter_len(ts, local);
+  const unsigned per_iter = warp_iter_len_[warp];
   if (per_iter == ts.iter_ops_base) return false;  // No kernel work for this warp.
 
   const unsigned iter = step / per_iter;

@@ -107,8 +107,6 @@ class MixWorkload : public Workload {
   /// Exponential think-time sample for (tenant, warp, iteration), clamped to
   /// one WarpOp's cycle range.
   std::uint16_t think_cycles(TenantId t, unsigned warp, unsigned iter) const;
-  /// Ops per iteration for the tenant's local warp `w`.
-  unsigned iter_len(const TenantState& ts, unsigned local) const;
   /// Tallies every tenant's outputs into `total`; returns each tenant's own
   /// mean error.
   std::vector<double> tally_tenants(const gpu::MemView& exact, const gpu::MemView& approx,
@@ -117,6 +115,10 @@ class MixWorkload : public Workload {
   std::vector<TenantState> tenants_;
   std::uint64_t seed_;
   unsigned total_warps_ = 0;
+  /// Indexed by global warp: the owning tenant, and the ops per iteration
+  /// (think op plus every phase's stream length).
+  std::vector<TenantId> warp_tenant_;
+  std::vector<unsigned> warp_iter_len_;
 };
 
 }  // namespace lazydram::workloads

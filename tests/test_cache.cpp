@@ -1,6 +1,7 @@
 // Cache + MSHR unit tests: lookup, LRU eviction, dirty write-back, the
-// approximate-fill tag, per-set enumeration (VP support), MSHR merging and
-// the MSHR table against a reference model.
+// approximate-fill tag, per-set enumeration (VP support), the cache against
+// the array-of-lines layout it replaced, MSHR merging and the MSHR table
+// against a reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,6 +96,183 @@ TEST(Cache, LinesInSetEnumeratesValidLines) {
   c.lines_in_set(3, lines);
   EXPECT_EQ(lines.size(), 2u);
   EXPECT_TRUE((lines[0] == a && lines[1] == b) || (lines[0] == b && lines[1] == a));
+}
+
+/// The array-of-Line cache that the struct-of-arrays Cache replaced, kept
+/// only as the oracle for CacheFuzz: one record per way, a valid bit, and a
+/// victim loop that takes the first invalid way, else the first
+/// least-recently-used one.
+class ReferenceLineArray {
+ public:
+  explicit ReferenceLineArray(const CacheGeometry& geo)
+      : sets_(geo.num_sets()), ways_(geo.ways), lines_(static_cast<std::size_t>(sets_) * ways_) {}
+
+  AccessResult access(Addr line_addr, bool is_write) {
+    if (Line* line = find(line_addr)) {
+      line->last_use = ++use_clock_;
+      if (is_write) line->dirty = true;
+      ++hits_;
+      return {.hit = true};
+    }
+    ++misses_;
+    return {.hit = false};
+  }
+
+  AccessResult fill(Addr line_addr, bool dirty, bool approximate) {
+    ++fills_;
+    if (Line* line = find(line_addr)) {
+      line->last_use = ++use_clock_;
+      line->dirty = line->dirty || dirty;
+      line->approximate = approximate;
+      return {.hit = true};
+    }
+    Line* base = set_lines(set_of(line_addr));
+    Line* victim = &base[0];
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (!base[w].valid) {
+        victim = &base[w];
+        break;
+      }
+      if (base[w].last_use < victim->last_use) victim = &base[w];
+    }
+    AccessResult result;
+    if (victim->valid && victim->dirty) {
+      result.writeback = true;
+      result.evicted_line = victim->addr;
+    }
+    *victim = Line{line_addr, true, dirty, approximate, ++use_clock_};
+    return result;
+  }
+
+  bool invalidate(Addr line_addr) {
+    if (Line* line = find(line_addr)) {
+      line->valid = false;
+      return line->dirty;
+    }
+    return false;
+  }
+
+  bool contains(Addr line_addr) { return find(line_addr) != nullptr; }
+  bool line_is_approx(Addr line_addr) {
+    const Line* line = find(line_addr);
+    return line != nullptr && line->approximate;
+  }
+  std::vector<Addr> lines_in_set(std::uint32_t set) {
+    std::vector<Addr> out;
+    const Line* base = set_lines(set);
+    for (std::uint32_t w = 0; w < ways_; ++w)
+      if (base[w].valid) out.push_back(base[w].addr);
+    return out;
+  }
+
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  std::uint64_t fills() const { return fills_; }
+
+ private:
+  struct Line {
+    Addr addr = 0;
+    bool valid = false;
+    bool dirty = false;
+    bool approximate = false;
+    std::uint64_t last_use = 0;
+  };
+
+  std::uint32_t set_of(Addr line_addr) const {
+    return static_cast<std::uint32_t>((line_addr / kLineBytes) & (sets_ - 1));
+  }
+  Line* set_lines(std::uint32_t set) { return &lines_[static_cast<std::size_t>(set) * ways_]; }
+  Line* find(Addr line_addr) {
+    Line* base = set_lines(set_of(line_addr));
+    for (std::uint32_t w = 0; w < ways_; ++w)
+      if (base[w].valid && base[w].addr == line_addr) return &base[w];
+    return nullptr;
+  }
+
+  std::uint32_t sets_;
+  std::uint32_t ways_;
+  std::vector<Line> lines_;
+  std::uint64_t use_clock_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t fills_ = 0;
+};
+
+/// Seeded access/fill/invalidate/lookup churn on a 4-set cache of `ways`
+/// ways, compared with ReferenceLineArray after every call: the returned
+/// hit, write-back and evicted line, the counters, and the order in which
+/// lines_in_set lists every set.
+void churn_against_line_array(std::uint32_t ways) {
+  constexpr std::uint32_t kSets = 4;
+  const CacheGeometry geo{kSets * ways * static_cast<std::uint32_t>(kLineBytes), ways,
+                          static_cast<std::uint32_t>(kLineBytes), 8};
+  Cache cache(geo);
+  ReferenceLineArray ref(geo);
+  ASSERT_EQ(cache.num_sets(), kSets);
+
+  // Two more candidate lines per set than it has ways, so sets fill, evict
+  // and keep holes left by invalidations.
+  std::vector<Addr> pool;
+  for (std::uint32_t set = 0; set < kSets; ++set)
+    for (unsigned k = 0; k < ways + 2; ++k) pool.push_back(line_in_set(cache, set, k));
+
+  std::mt19937_64 rng(ways * 7919 + 1);
+  unsigned writebacks = 0, refills = 0, hole_fills = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const Addr line = pool[rng() % pool.size()];
+    const std::uint64_t kind = rng() % 100;
+    if (kind < 30) {
+      const bool is_write = rng() % 4 == 0;
+      const AccessResult got = cache.access(line, is_write);
+      ASSERT_EQ(got.hit, ref.access(line, is_write).hit) << "op " << op;
+    } else if (kind < 40) {
+      // The slot path GpuTop takes: one probe, then access and tag reads.
+      const Cache::Slot slot = cache.probe(line);
+      ASSERT_EQ(slot != Cache::kNoSlot, ref.contains(line)) << "op " << op;
+      if (slot != Cache::kNoSlot) {
+        ASSERT_EQ(cache.approximate_at(slot), ref.line_is_approx(line)) << "op " << op;
+      }
+      const bool is_write = rng() % 2 == 0;
+      ASSERT_EQ(cache.access_at(slot, is_write), ref.access(line, is_write).hit) << "op " << op;
+    } else if (kind < 70) {
+      const bool dirty = rng() % 3 == 0, approximate = rng() % 3 == 0;
+      const bool holes = ref.lines_in_set(cache.set_index(line)).size() < ways;
+      const AccessResult want = ref.fill(line, dirty, approximate);
+      const AccessResult got = cache.fill(line, dirty, approximate);
+      ASSERT_EQ(got.hit, want.hit) << "op " << op;
+      ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
+      if (want.writeback) {
+        ASSERT_EQ(got.evicted_line, want.evicted_line) << "op " << op;
+      }
+      writebacks += want.writeback;
+      refills += want.hit;
+      hole_fills += !want.hit && holes;
+    } else if (kind < 80) {
+      ASSERT_EQ(cache.invalidate(line), ref.invalidate(line)) << "op " << op;
+    } else if (kind < 90) {
+      ASSERT_EQ(cache.contains(line), ref.contains(line)) << "op " << op;
+    } else {
+      ASSERT_EQ(cache.line_is_approx(line), ref.line_is_approx(line)) << "op " << op;
+    }
+    ASSERT_EQ(cache.hits(), ref.hits()) << "op " << op;
+    ASSERT_EQ(cache.misses(), ref.misses()) << "op " << op;
+    ASSERT_EQ(cache.fills(), ref.fills()) << "op " << op;
+    for (std::uint32_t set = 0; set < kSets; ++set) {
+      std::vector<Addr> lines;
+      cache.lines_in_set(set, lines);
+      ASSERT_EQ(lines, ref.lines_in_set(set)) << "op " << op << ", set " << set;
+    }
+  }
+  EXPECT_GT(writebacks, 0u);
+  EXPECT_GT(refills, 0u);
+  EXPECT_GT(hole_fills, 0u);
+}
+
+TEST(CacheFuzz, MatchesReferenceLineArray) {
+  for (const std::uint32_t ways : {1u, 4u, 8u, 16u}) {
+    SCOPED_TRACE(testing::Message() << ways << "-way");
+    ASSERT_NO_FATAL_FAILURE(churn_against_line_array(ways));
+  }
 }
 
 TEST(Mshr, PrimaryThenMergedMisses) {

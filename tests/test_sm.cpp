@@ -1,7 +1,8 @@
 // Sm issue-path tests against a hand-driven request crossbar: a warp whose
-// line finds the crossbar input full counts one stall per cycle, and each
-// wake source (a freed slot, a reply, a due L1-hit completion, a due compute
-// timer) resumes issue on the cycle a per-cycle re-poll would. Every expected
+// line finds the crossbar input full counts one stall per cycle, each wake
+// source (a freed slot, a reply, a due L1-hit completion, a due compute
+// timer) resumes issue on the cycle a per-cycle re-poll would, and a blocked
+// cycle's scan passes over exactly the warps mid memory op. Every expected
 // value below is worked out by hand in the comments.
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@ using gpu::WarpOp;
 
 constexpr Addr kA = 0x10000;
 constexpr Addr kB = 0x20000;
+constexpr Addr kC = 0x40000;
 constexpr Addr kS = 0x30000;
 
 /// Each warp runs a fixed op list.
@@ -167,6 +169,51 @@ TEST(Sm, TickWithTwoStallsKeepsCountingBoth) {
   // Cycle 208: the merge limit still stalls, then B goes out.
   r.expect_stalls({149});
   EXPECT_EQ(r.sm.instructions(), 66u);
+}
+
+TEST(Sm, BlockedScanSkipsMidOpWarpAndIssuesCompute) {
+  Rig r({{WarpOp::load_line(kA, false), WarpOp::compute(1)},
+         {WarpOp::load_line(kB, false)},
+         {WarpOp::load_line(kC, false)}});
+  r.tick();  // Cycle 1: warp 0 sends A; the input is now full. Scan: 1, 2, 0.
+  EXPECT_EQ(r.sm.instructions(), 1u);
+  // Cycle 2: warp 1's B stalls; warp 2 decodes C, now mid memory op behind
+  // the blocked LSU; warp 0 decodes its compute and sleeps on A.
+  r.expect_stalls({1});
+  r.reply(kA);  // Warp 0 rejoins the scan behind warps 1 and 2.
+  // Cycle 3: warp 1 stalls once more, warp 2 is passed over, and warp 0's
+  // compute issues in the same tick.
+  r.expect_stalls({2});
+  EXPECT_EQ(r.sm.instructions(), 2u);
+  r.free_slot();
+  r.expect_stalls({2});  // Cycle 4: B goes out.
+  EXPECT_EQ(r.sm.instructions(), 3u);
+  r.expect_stalls({3});  // Cycle 5: C waits on the refilled input.
+  r.free_slot();
+  r.expect_stalls({3});  // Cycle 6: C goes out.
+  EXPECT_EQ(r.sm.instructions(), 4u);
+}
+
+TEST(Sm, WarpPastItsLastLineIsNotSkippedAsMidOp) {
+  Rig r({{workloads::wide_load(kA, 2, false), WarpOp::compute(5)},
+         {WarpOp::load_line(kB, false)}});
+  r.tick();  // Cycle 1: warp 0 sends A and owns the LSU for its second line.
+  r.expect_stalls({1});  // Cycle 2: the second line waits.
+  r.free_slot();
+  r.expect_stalls({1});  // Cycle 3: the second line goes out; the load retires.
+  EXPECT_EQ(r.sm.instructions(), 1u);
+  // Cycle 4: warp 0 decodes its compute and sleeps on two loads; warp 1's B
+  // stalls.
+  r.expect_stalls({2});
+  r.reply(kA);
+  r.reply(kA + kLineBytes);  // Warp 0 rejoins the scan behind warp 1.
+  // Cycle 5: B stalls again, then warp 0's compute issues: the warp is no
+  // longer mid memory op.
+  r.expect_stalls({3});
+  EXPECT_EQ(r.sm.instructions(), 2u);
+  r.free_slot();
+  r.expect_stalls({3});  // Cycle 6: B goes out.
+  EXPECT_EQ(r.sm.instructions(), 3u);
 }
 
 }  // namespace
